@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .bench import (
     ExperimentSpec,
-    PolicySpec,
     ProblemRef,
     SummaryStats,
     delta_opt,
@@ -59,8 +58,6 @@ from .problems import Problem, finite_diff_grad, get_problem, list_problems
 from .updates import (
     CurvaturePair,
     PenaltyScalars,
-    active_backend,
-    available_kernels,
     bfgs_curvature_ok,
     bfgs_update,
     compute_penalty_scalars,

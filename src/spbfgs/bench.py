@@ -28,7 +28,6 @@ relative factors; the resolved absolute levels scale with |phi(x0)| and
 import csv
 import hashlib
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -99,61 +98,6 @@ def summarize(dopts, iters):
 
 
 @dataclass(frozen=True)
-class PolicySpec:
-    """Bench-level penalty policy, resolved to a PenaltyPolicy per noise cell.
-
-    kind "scaled" sets step_scale = scale / eps_g for the cell's resolved
-    absolute gradient noise (falling back to pure BFGS behaviour when
-    eps_g = 0, where an infinite penalty is the right limit); all other
-    kinds map directly onto PenaltyPolicy.
-    """
-
-    kind: str = "scaled"
-    scale: float = 1e8
-    step_scale: float = 0.0
-    offset: float = 1e-10
-    threshold: float = 0.0
-    beta: float = math.inf
-    recovery: str = "skip"
-    shrink_factor: float = 2.0
-    skip_rule: str = "nonpositive"
-    skip_eps: float = 0.0
-    skip_zeta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind == "scaled":
-            if not (self.scale > 0.0 and math.isfinite(self.scale)):
-                raise ValueError(f"scaled policy needs finite scale > 0, got {self.scale}")
-        else:
-            self.resolve(1.0)  # validates the direct kinds eagerly
-
-    def resolve(self, eps_g):
-        common = dict(
-            recovery=self.recovery,
-            shrink_factor=self.shrink_factor,
-            skip_rule=self.skip_rule,
-            skip_eps=self.skip_eps,
-            skip_zeta=self.skip_zeta,
-        )
-        if self.kind == "scaled":
-            if eps_g == 0.0:
-                return PenaltyPolicy(kind="constant-infinity", **common)
-            return PenaltyPolicy(kind="linear", step_scale=self.scale / eps_g,
-                                 offset=self.offset, **common)
-        if self.kind == "linear":
-            return PenaltyPolicy(kind="linear", step_scale=self.step_scale,
-                                 offset=self.offset, **common)
-        if self.kind == "thresholded":
-            return PenaltyPolicy(kind="thresholded", step_scale=self.step_scale,
-                                 threshold=self.threshold, **common)
-        if self.kind == "constant":
-            return PenaltyPolicy(kind="constant", beta=self.beta, **common)
-        if self.kind == "constant-infinity":
-            return PenaltyPolicy(kind="constant-infinity", **common)
-        raise ValueError(f"unknown policy kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class ProblemRef:
     """A built-in problem name plus an optional size override."""
 
@@ -176,7 +120,7 @@ class ExperimentSpec:
     budget_iters: Optional[int] = None
     linesearch: LineSearchConfig = LineSearchConfig()
     eps_armijo_auto: bool = True  # eps_armijo = the cell's resolved eps_f
-    policy: PolicySpec = PolicySpec()
+    policy: PenaltyPolicy = PenaltyPolicy(kind="scaled", scale=1e8, offset=1e-10)
     out_dir: str = "results"
     record_traces: bool = False
     workers: int = 1
@@ -192,6 +136,11 @@ class ExperimentSpec:
         )
         if len(self.problems) == 0:
             raise ValueError("experiment needs at least one problem")
+        for ref in self.problems:
+            try:
+                ref.instantiate()  # sizes are checked here, not mid-sweep
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from exc
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}, expected subset of {METHODS}")
@@ -216,6 +165,7 @@ class RunOutcome:
     dopt: float
     n_iterations: int
     failed: bool
+    failure: Optional[str] = None
     trace_rows: Tuple[tuple, ...] = ()
 
 
@@ -231,10 +181,14 @@ class SummaryRow:
 class ExperimentResult:
     rows: List[SummaryRow] = field(default_factory=list)
     n_runs: int = 0
-    n_failed: int = 0
+    failed: List[RunOutcome] = field(default_factory=list)  # in job order
     n_dropped: int = 0  # runs with no finite measurement at all
     summary_path: Optional[str] = None
     traces_path: Optional[str] = None
+
+    @property
+    def n_failed(self):
+        return len(self.failed)
 
 
 def run_seed(master_seed, problem_name, method, cell, rep):
@@ -262,7 +216,7 @@ def run_one(spec, problem_ref, method, cell, rep):
     if spec.eps_armijo_auto:
         ls = replace(ls, eps_armijo=abs_cell.eps_f)
     config = RunConfig(
-        policy=spec.policy.resolve(abs_cell.eps_g),
+        policy=spec.policy,
         linesearch=ls,
         noise=abs_cell,
         budget_evals=spec.budget_evals,
@@ -291,6 +245,7 @@ def run_one(spec, problem_ref, method, cell, rep):
         dopt=delta_opt(trace.phi_best, problem.phi_star),
         n_iterations=trace.n_iterations,
         failed=trace.failed,
+        failure=trace.failure,
         trace_rows=rows,
     )
 
@@ -333,13 +288,7 @@ def write_traces_csv(path, outcomes):
 
 
 def run_experiment(spec):
-    """Run the full sweep, write CSVs under out_dir, return the result.
-
-    SPBFGS_BENCH_OUT_DIR and SPBFGS_BENCH_WORKERS environment variables
-    override the corresponding spec fields.
-    """
-    out_dir = os.environ.get("SPBFGS_BENCH_OUT_DIR", spec.out_dir)
-    workers = int(os.environ.get("SPBFGS_BENCH_WORKERS", spec.workers))
+    """Run the full sweep, write CSVs under spec.out_dir, return the result."""
     jobs = [
         (pi, mi, ci, rep)
         for pi in range(len(spec.problems))
@@ -347,8 +296,8 @@ def run_experiment(spec):
         for ci in range(len(spec.cells))
         for rep in range(spec.replicates)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if spec.workers > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             outcomes = list(pool.map(_run_job, [(spec, job) for job in jobs], chunksize=4))
     else:
         outcomes = [_run_job((spec, job)) for job in jobs]
@@ -358,7 +307,7 @@ def run_experiment(spec):
     for job, outcome in zip(jobs, outcomes):
         by_cell.setdefault(job[:3], []).append(outcome)
         if outcome.failed:
-            result.n_failed += 1
+            result.failed.append(outcome)
     for pi in range(len(spec.problems)):
         for mi in range(len(spec.methods)):
             for ci in range(len(spec.cells)):
@@ -371,7 +320,7 @@ def run_experiment(spec):
                 result.rows.append(
                     SummaryRow(group[0].problem, group[0].method, group[0].cell, stats)
                 )
-    out = Path(out_dir)
+    out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"
     write_summary_csv(summary_path, result.rows)

@@ -5,10 +5,13 @@
     spbfgs-bench list-problems            built-in problem table
 
 Exit codes: 0 success, 1 failed runs or failed checks, 2 bad usage or
-configuration.
+configuration.  For `run`, the environment variables SPBFGS_BENCH_OUT_DIR
+and SPBFGS_BENCH_WORKERS override [experiment] out_dir and workers; the
+flags override both.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -47,6 +50,14 @@ def _cmd_run(args):
     try:
         spec = load_experiment(args.config)
         overrides = {}
+        if "SPBFGS_BENCH_OUT_DIR" in os.environ:
+            overrides["out_dir"] = os.environ["SPBFGS_BENCH_OUT_DIR"]
+        if "SPBFGS_BENCH_WORKERS" in os.environ:
+            raw = os.environ["SPBFGS_BENCH_WORKERS"]
+            try:
+                overrides["workers"] = int(raw)
+            except ValueError:
+                raise ConfigError(f"SPBFGS_BENCH_WORKERS: not an integer: {raw!r}") from None
         if args.seed is not None:
             overrides["master_seed"] = args.seed
         if args.out_dir is not None:
@@ -77,6 +88,9 @@ def _cmd_run(args):
     if result.n_failed or result.n_dropped:
         print(f"warning: {result.n_failed} failed runs, "
               f"{result.n_dropped} dropped from statistics", file=sys.stderr)
+        for o in result.failed:
+            print(f"  failed: {o.problem} {o.method} eps_f={o.cell.eps_f!r} "
+                  f"eps_g={o.cell.eps_g!r} rep {o.rep}: {o.failure}", file=sys.stderr)
         return 1
     return 0
 

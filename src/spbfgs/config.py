@@ -7,13 +7,17 @@ key reference and a worked example.
 """
 
 import configparser
-import math
+from dataclasses import fields, replace
 
-from .bench import METHODS, ExperimentSpec, PolicySpec, ProblemRef
+from .bench import METHODS, ExperimentSpec, ProblemRef
 from .errors import ConfigError
 from .linesearch import LineSearchConfig
 from .noise import NoiseSpec
+from .policy import PenaltyPolicy
 from .problems import list_problems
+
+# [policy] keys are PenaltyPolicy's fields; the str ones are taken verbatim
+_POLICY_TYPES = {f.name: f.type for f in fields(PenaltyPolicy)}
 
 _KNOWN_KEYS = {
     "experiment": {"problems", "methods", "replicates", "master_seed", "out_dir",
@@ -21,8 +25,7 @@ _KNOWN_KEYS = {
     "noise": {"mode", "cells"},
     "budget": {"evals", "iters"},
     "linesearch": {"alpha0", "tau", "c1", "eps_armijo", "max_backtracks"},
-    "policy": {"kind", "scale", "step_scale", "offset", "threshold", "beta",
-               "recovery", "shrink_factor", "skip_rule", "skip_eps", "skip_zeta"},
+    "policy": set(_POLICY_TYPES),
 }
 
 
@@ -158,18 +161,13 @@ def load_experiment(path):
         raise ConfigError(f"[linesearch] {exc}") from exc
 
     policy_kwargs = {}
-    for key in ("scale", "step_scale", "offset", "threshold", "beta",
-                "shrink_factor", "skip_eps", "skip_zeta"):
+    for key, kind in _POLICY_TYPES.items():
         raw = get("policy", key)
         if raw is not None:
-            policy_kwargs[key] = math.inf if raw.lower() in ("inf", "+inf") \
-                else _parse_float("policy", key, raw)
-    for key in ("kind", "recovery", "skip_rule"):
-        raw = get("policy", key)
-        if raw is not None:
-            policy_kwargs[key] = raw
+            policy_kwargs[key] = raw if kind is str else _parse_float("policy", key, raw)
     try:
-        policy = PolicySpec(**policy_kwargs)
+        # keys left out keep the bench defaults (ExperimentSpec's default policy)
+        policy = replace(ExperimentSpec.policy, **policy_kwargs)
     except ValueError as exc:
         raise ConfigError(f"[policy] {exc}") from exc
 

@@ -42,6 +42,9 @@ class RunConfig:
     record_hessian_diagnostics: bool = False
 
     def __post_init__(self):
+        # a scaled policy takes its step scale from this run's gradient noise;
+        # resolved once, so replace(config, noise=...) keeps the old scale
+        object.__setattr__(self, "policy", self.policy.resolve(self.noise.eps_g))
         if self.budget_evals is None and self.budget_iters is None:
             raise ValueError("set budget_evals, budget_iters, or both")
         if self.budget_evals is not None and self.budget_evals < 1:

@@ -8,7 +8,7 @@ driver.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .updates import spbfgs_curvature_ok
 UPDATE = "update"
 SKIP = "skip"
 
-_KINDS = ("constant-infinity", "constant", "linear", "thresholded")
+_KINDS = ("constant-infinity", "constant", "linear", "thresholded", "scaled")
 _RECOVERIES = ("skip", "shrink")
 _SKIP_RULES = ("nonpositive", "step-norm", "cosine")
 
@@ -31,6 +31,10 @@ class PenaltyPolicy:
         constant           beta = self.beta
         linear             beta = step_scale * ||s|| + offset
         thresholded        beta = max(step_scale * ||s|| - threshold, 0)
+        scaled             linear with step_scale = scale / eps_g, where eps_g
+                           is the run's absolute gradient noise; at eps_g = 0
+                           it is constant-infinity.  RunConfig resolves it
+                           (see resolve), so propose_beta never sees it.
 
     recovery on curvature failure
         skip    beta -> 0, no update this iteration
@@ -38,7 +42,8 @@ class PenaltyPolicy:
                 condition whenever s.y < 0 (shrink_factor > 1); falls back
                 to skip at s.y = 0
 
-    skip_rule applies only to the baseline BFGS driver
+    skip_rule applies only to the baseline BFGS driver, and every rule
+    also demands s.y > 0, the classic update's own precondition
         nonpositive  update iff s.y > 0
         step-norm    update iff s.y >= skip_eps * ||s||^2
         cosine       update iff s.y >= skip_zeta * ||s|| * ||y||
@@ -54,6 +59,7 @@ class PenaltyPolicy:
     skip_rule: str = "nonpositive"
     skip_eps: float = 0.0
     skip_zeta: float = 0.0
+    scale: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -62,6 +68,8 @@ class PenaltyPolicy:
             raise ValueError(f"unknown recovery {self.recovery!r}, expected one of {_RECOVERIES}")
         if self.skip_rule not in _SKIP_RULES:
             raise ValueError(f"unknown skip rule {self.skip_rule!r}, expected one of {_SKIP_RULES}")
+        if self.kind == "scaled" and not (self.scale > 0.0 and math.isfinite(self.scale)):
+            raise ValueError(f"scaled policy needs finite scale > 0, got {self.scale}")
         if self.kind == "constant" and (math.isnan(self.beta) or self.beta < 0.0):
             raise ValueError(f"constant policy needs beta in [0, +inf], got {self.beta}")
         if self.step_scale < 0.0 or self.offset < 0.0 or self.threshold < 0.0:
@@ -73,6 +81,19 @@ class PenaltyPolicy:
         if self.skip_rule == "cosine" and not 0.0 < self.skip_zeta < 1.0:
             raise ValueError("cosine rule needs skip_zeta in (0, 1)")
 
+    def resolve(self, eps_g):
+        """The policy a run with absolute gradient noise eps_g applies.
+
+        A scaled policy becomes linear with step_scale = scale / eps_g, or
+        constant-infinity when eps_g = 0, where an infinite penalty is the
+        right limit; every other kind is returned unchanged.
+        """
+        if self.kind != "scaled":
+            return self
+        if eps_g == 0.0:
+            return replace(self, kind="constant-infinity")
+        return replace(self, kind="linear", step_scale=self.scale / eps_g)
+
 
 def propose_beta(policy, s):
     """beta proposed from the step vector s, before any curvature check."""
@@ -83,7 +104,9 @@ def propose_beta(policy, s):
     norm_s = float(np.linalg.norm(s))
     if policy.kind == "linear":
         return policy.step_scale * norm_s + policy.offset
-    return max(policy.step_scale * norm_s - policy.threshold, 0.0)
+    if policy.kind == "thresholded":
+        return max(policy.step_scale * norm_s - policy.threshold, 0.0)
+    raise ValueError("a scaled policy proposes no beta until resolved against a noise level")
 
 
 def resolve_beta(policy, pair, proposed):
@@ -101,9 +124,16 @@ def resolve_beta(policy, pair, proposed):
 
 
 def baseline_update_ok(policy, pair):
-    """Baseline BFGS admission test under policy.skip_rule."""
+    """Baseline BFGS admission test under policy.skip_rule.
+
+    s.y = 0 is refused under every rule: with a zero step or gradient change
+    the step-norm and cosine bounds are 0 too and would admit it, and the
+    BFGS update is undefined there.
+    """
+    if not pair.sty > 0.0:
+        return False
     if policy.skip_rule == "nonpositive":
-        return pair.sty > 0.0
+        return True
     if policy.skip_rule == "step-norm":
         return pair.sty >= policy.skip_eps * float(pair.s @ pair.s)
     return pair.sty >= policy.skip_zeta * float(np.linalg.norm(pair.s) * np.linalg.norm(pair.y))

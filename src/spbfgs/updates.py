@@ -27,19 +27,13 @@ The expanded form actually computed is algebraically identical:
 
 A direct update of the Hessian approximation B = H^{-1} is provided for
 diagnostics; the driver itself only maintains H.
-
-The hot kernel lives in a compiled extension when available, with a numpy
-fallback selected at import time (set SPBFGS_PURE_PYTHON=1 to force the
-fallback).  Both backends produce exactly symmetric matrices.
 """
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels_py
 from .errors import (
     BadDimensionError,
     CurvatureViolationError,
@@ -48,27 +42,16 @@ from .errors import (
     SingularDenominatorError,
 )
 
-_compiled = None
-if os.environ.get("SPBFGS_PURE_PYTHON", "") != "1":
-    try:
-        from . import _kernels as _compiled
-    except ImportError:
-        _compiled = None
 
-_kernel = _compiled.penalized_rank_two_update if _compiled is not None else _kernels_py.penalized_rank_two_update
-
-
-def active_backend():
-    """Return 'compiled' or 'python' depending on which kernel is in use."""
-    return "python" if _compiled is None else "compiled"
-
-
-def available_kernels():
-    """Mapping of backend name -> kernel function, for benchmarks and tests."""
-    out = {"python": _kernels_py.penalized_rank_two_update}
-    if _compiled is not None:
-        out["compiled"] = _compiled.penalized_rank_two_update
-    return out
+def _penalized_rank_two_update(h, s, y, gamma, omega):
+    """H - omega*(s(Hy)^T + (Hy)s^T) + gamma*(1 + omega*y.Hy) ss^T, exactly symmetric."""
+    hy = h @ y
+    yhy = float(y @ hy)
+    coef = gamma * (1.0 + omega * yhy)
+    out = h - omega * (np.outer(s, hy) + np.outer(hy, s)) + coef * np.outer(s, s)
+    # outer-product sums are elementwise symmetric, so this is a bitwise no-op
+    # unless h itself was slightly asymmetric
+    return 0.5 * (out + out.T)
 
 
 def symmetrize(a):
@@ -194,7 +177,7 @@ def bfgs_update(h, pair):
     if pair.sty <= 0.0:
         raise CurvatureViolationError(f"BFGS update needs s.y > 0, got {pair.sty}")
     rho = 1.0 / pair.sty
-    out = _kernel(h, pair.s, pair.y, rho, rho)
+    out = _penalized_rank_two_update(h, pair.s, pair.y, rho, rho)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("BFGS update produced non-finite entries")
     return out
@@ -210,7 +193,7 @@ def spbfgs_update(h, pair, scalars):
     h = _checked_square(h, pair.n)
     if scalars.gamma == 0.0 and scalars.omega == 0.0:
         return h.copy()
-    out = _kernel(h, pair.s, pair.y, scalars.gamma, scalars.omega)
+    out = _penalized_rank_two_update(h, pair.s, pair.y, scalars.gamma, scalars.omega)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("penalized update produced non-finite entries")
     return out

@@ -7,7 +7,6 @@ import pytest
 
 from spbfgs.bench import (
     ExperimentSpec,
-    PolicySpec,
     ProblemRef,
     SummaryRow,
     SummaryStats,
@@ -23,6 +22,8 @@ from spbfgs.cli import main as cli_main
 from spbfgs.config import load_experiment
 from spbfgs.errors import ConfigError, EmptyCellError
 from spbfgs.noise import NoiseSpec
+from spbfgs.optimizer import RunConfig
+from spbfgs.policy import PenaltyPolicy, propose_beta
 from spbfgs.problems import Problem
 
 
@@ -109,30 +110,46 @@ class TestResolveCell:
         assert out.eps_g == pytest.approx(1.5)
 
 
-class TestPolicySpec:
+def run_config(policy, eps_g):
+    return RunConfig(policy=policy, noise=NoiseSpec(0.0, eps_g), budget_iters=1)
+
+
+class TestScaledPolicy:
+    """kind = scaled, resolved against each run's gradient noise by RunConfig."""
+
     def test_scaled_resolution(self):
-        pol = PolicySpec(kind="scaled", scale=1e8, offset=1e-10).resolve(1e-4)
-        assert pol.kind == "linear"
-        assert pol.step_scale == 1e12
-        assert pol.offset == 1e-10
+        scaled = PenaltyPolicy(kind="scaled", scale=1e8, offset=1e-10)
+        for pol in (scaled.resolve(1e-4), run_config(scaled, 1e-4).policy):
+            assert pol.kind == "linear"
+            assert pol.step_scale == 1e12
+            assert pol.offset == 1e-10
 
     def test_scaled_falls_back_to_classic_at_zero_noise(self):
-        pol = PolicySpec(kind="scaled").resolve(0.0)
-        assert pol.kind == "constant-infinity"
+        default = ExperimentSpec.policy
+        assert (default.kind, default.scale, default.offset) == ("scaled", 1e8, 1e-10)
+        assert default.resolve(0.0).kind == "constant-infinity"
+        assert run_config(default, 0.0).policy.kind == "constant-infinity"
 
     def test_direct_kinds_pass_through(self):
-        pol = PolicySpec(kind="linear", step_scale=2.0, offset=0.5).resolve(123.0)
-        assert (pol.kind, pol.step_scale, pol.offset) == ("linear", 2.0, 0.5)
-        pol = PolicySpec(kind="constant", beta=7.0).resolve(0.0)
-        assert (pol.kind, pol.beta) == ("constant", 7.0)
+        pol = PenaltyPolicy(kind="linear", step_scale=2.0, offset=0.5)
+        assert pol.resolve(123.0) is pol
+        assert run_config(pol, 123.0).policy is pol
+        pol = PenaltyPolicy(kind="constant", beta=7.0)
+        assert run_config(pol, 0.0).policy is pol
 
     def test_validation_is_eager(self):
         with pytest.raises(ValueError):
-            PolicySpec(kind="scaled", scale=0.0)
+            PenaltyPolicy(kind="scaled", scale=0.0)
         with pytest.raises(ValueError):
-            PolicySpec(kind="constant", beta=-1.0)
+            PenaltyPolicy(kind="scaled", scale=math.inf)
         with pytest.raises(ValueError):
-            PolicySpec(kind="bogus")
+            PenaltyPolicy(kind="constant", beta=-1.0)
+        with pytest.raises(ValueError):
+            PenaltyPolicy(kind="bogus")
+
+    def test_unresolved_scaled_proposes_nothing(self):
+        with pytest.raises(ValueError):
+            propose_beta(PenaltyPolicy(kind="scaled", scale=1.0), np.ones(2))
 
 
 class TestSummaryCsv:
@@ -217,6 +234,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(problems=(ProblemRef("cube"),), budget_evals=None)
 
+    @pytest.mark.parametrize("ref", [ProblemRef("srosenbr", 3), ProblemRef("beale", 4),
+                                     ProblemRef("warp")])
+    def test_rejects_bad_problem_before_running(self, ref):
+        with pytest.raises(ValueError):
+            ExperimentSpec(problems=(ref,))
+
 
 class TestRunExperiment:
     def test_repeat_is_byte_identical(self, tmp_path):
@@ -257,14 +280,33 @@ class TestRunExperiment:
         text = (tmp_path / "results" / "summary.csv").read_text()
         assert ",0.0001,0.0001," in text
 
-    def test_env_overrides(self, tmp_path, monkeypatch):
+    def test_env_overrides(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "env_out"
         monkeypatch.setenv("SPBFGS_BENCH_OUT_DIR", str(target))
         monkeypatch.setenv("SPBFGS_BENCH_WORKERS", "1")
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nproblems = cube\nreplicates = 1\n"
+                        f"out_dir = {tmp_path / 'config_out'}\nworkers = 2\n\n"
+                        "[budget]\nevals = 100\n")
+        assert cli_main(["run", str(path)]) == 0
+        assert f"summary: {target / 'summary.csv'}" in capsys.readouterr().out
+        assert (target / "summary.csv").exists()
+        assert not (tmp_path / "config_out").exists()
+
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_bad_env_workers_exits_2(self, tmp_path, monkeypatch, capsys, workers):
+        monkeypatch.setenv("SPBFGS_BENCH_WORKERS", workers)
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\nproblems = cube\nout_dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_experiment_ignores_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPBFGS_BENCH_OUT_DIR", str(tmp_path / "env_out"))
         spec = small_spec(tmp_path, replicates=1, cells=(NoiseSpec(0.0, 0.0),))
         result = run_experiment(spec)
-        assert (target / "summary.csv").exists()
-        assert result.summary_path == str(target / "summary.csv")
+        assert result.summary_path == str(tmp_path / "results" / "summary.csv")
 
 
 FULL_CONFIG = """
@@ -334,6 +376,13 @@ class TestConfigFile:
         path.write_text("[experiment]\nproblems = cube\nreplicates = 5  # quick\n")
         assert load_experiment(path).replicates == 5
 
+    def test_linear_without_offset_keeps_bench_offset(self, tmp_path):
+        path = tmp_path / "l.ini"
+        path.write_text("[experiment]\nproblems = cube\n\n"
+                        "[policy]\nkind = linear\nstep_scale = 3\n")
+        pol = load_experiment(path).policy
+        assert (pol.kind, pol.step_scale, pol.offset) == ("linear", 3.0, 1e-10)
+
     def test_constant_beta_inf(self, tmp_path):
         path = tmp_path / "b.ini"
         path.write_text("[experiment]\nproblems = cube\n\n"
@@ -350,6 +399,8 @@ class TestConfigFile:
         ("[experiment]\nproblems = cube\nmethods = newton\n", "[experiment] methods"),
         ("[noise]\ncells = 0, 0\n", "problems is required"),
         ("[experiment]\nproblems = cube\n\n[policy]\nkind = bogus\n", "[policy]"),
+        ("[experiment]\nproblems = cube\n\n[policy]\nkind = linear\nthreshold = -1\n",
+         "[policy]"),
         ("[experiment]\nproblems = cube\nreplicates = 0\n", "replicates"),
     ])
     def test_error_reporting(self, tmp_path, body, needle):
@@ -405,6 +456,36 @@ class TestCli:
         path.write_text("[experiment]\nproblems = warp\n")
         assert cli_main(["run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", ["srosenbr:3", "beale:4"])
+    def test_run_bad_problem_size_exits_2(self, tmp_path, capsys, problem):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[experiment]\nproblems = {problem}\nout_dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_run_reports_failure_reasons(self, tmp_path, capsys, monkeypatch):
+        def breaking_problem(name, n=None):
+            calls = [0]
+
+            def grad(x):
+                calls[0] += 1
+                return 2.0 * x if calls[0] < 4 else np.full_like(x, np.nan)
+
+            return Problem(name, 2, lambda x: float(x @ x), grad, np.ones(2), 0.0)
+
+        monkeypatch.setattr("spbfgs.bench.get_problem", breaking_problem)
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nproblems = rosenbrock\nmethods = spbfgs\n"
+                        f"replicates = 2\nout_dir = {tmp_path / 'out'}\n\n"
+                        "[budget]\nevals = 50\n")
+        assert cli_main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "2 failed runs" in err
+        for rep in (0, 1):
+            assert (f"failed: rosenbrock spbfgs eps_f=0.0 eps_g=0.0 rep {rep}: "
+                    "non-finite state at iteration") in err
 
     def test_run_missing_config_exits_2(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.ini")]) == 2

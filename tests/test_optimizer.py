@@ -140,6 +140,18 @@ class TestStepAccounting:
         assert trace.n_curvature_failures == skips
         assert skips > 0  # gradient noise must trip the classic condition
 
+    @pytest.mark.parametrize("policy", [
+        PenaltyPolicy(kind="constant-infinity", skip_rule="cosine", skip_zeta=1e-3),
+        PenaltyPolicy(kind="constant-infinity", skip_rule="step-norm", skip_eps=1e-3),
+    ])
+    def test_baseline_survives_zero_sty_at_the_minimum(self, policy):
+        # noiseless runs converge until s.y = 0 exactly; the cosine rule
+        # used to admit that pair and the BFGS update then raised
+        cfg = RunConfig(policy=policy, budget_evals=300)
+        trace = minimize_baseline_bfgs(get_problem("rosenbrock"), cfg)
+        assert not trace.failed
+        assert trace.phi_best == 0.0
+
     def test_hessian_diagnostics_recorded(self):
         cfg = RunConfig(budget_iters=5, record_hessian_diagnostics=True)
         trace = minimize(quad2(), cfg)

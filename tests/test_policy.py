@@ -96,6 +96,13 @@ class TestBaselineRules:
         assert baseline_update_ok(pol, ok)
         assert not baseline_update_ok(pol, bad)
 
+    @pytest.mark.parametrize("pol", [PenaltyPolicy(skip_rule="step-norm", skip_eps=0.5),
+                                     PenaltyPolicy(skip_rule="cosine", skip_zeta=0.5)])
+    def test_zero_sty_refused_by_every_rule(self, pol):
+        # the bounds are 0 too here, yet BFGS is undefined at s.y = 0
+        assert not baseline_update_ok(pol, CurvaturePair([1.0, 0.0], [0.0, 0.0]))
+        assert not baseline_update_ok(pol, CurvaturePair([0.0, 0.0], [1.0, 0.0]))
+
 
 class TestValidation:
     def test_unknown_kind(self):

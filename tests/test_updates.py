@@ -15,8 +15,6 @@ from spbfgs.errors import (
 from spbfgs.updates import (
     CurvaturePair,
     PenaltyScalars,
-    active_backend,
-    available_kernels,
     bfgs_curvature_ok,
     bfgs_update,
     compute_penalty_scalars,
@@ -294,25 +292,3 @@ class TestMatrixHelpers:
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         assert not is_positive_definite(a)
 
-
-class TestBackendSelection:
-    def test_active_backend_is_available(self):
-        assert active_backend() in available_kernels()
-        assert "python" in available_kernels()
-
-    def test_kernels_agree(self):
-        if "compiled" not in available_kernels():
-            pytest.skip("compiled kernel not built")
-        from spbfgs import _kernels, _kernels_py
-
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            n = int(rng.integers(1, 8))
-            h = random_spd(rng, n)
-            pair = positive_pair(rng, n)
-            beta = float(rng.uniform(0.1, 1e4))
-            sc = compute_penalty_scalars(pair, beta)
-            a = _kernels.penalized_rank_two_update(h, pair.s, pair.y, sc.gamma, sc.omega)
-            b = _kernels_py.penalized_rank_two_update(h, pair.s, pair.y, sc.gamma, sc.omega)
-            np.testing.assert_allclose(np.asarray(a), b, rtol=0,
-                                       atol=1e-13 * max(1.0, np.abs(b).max()))
