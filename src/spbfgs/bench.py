@@ -28,6 +28,7 @@ relative factors; the resolved absolute levels scale with |phi(x0)| and
 import csv
 import hashlib
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -49,10 +50,23 @@ SUMMARY_COLUMNS = (
     "mean_dopt", "median_dopt", "min_dopt", "max_dopt", "var_dopt", "mean_iters",
 )
 
-TRACE_COLUMNS = (
-    "problem", "method", "eps_f", "eps_g", "rep", "k", "phi", "grad_norm",
-    "f_measured", "alpha", "beta", "sty", "curvature_failed", "trace_h", "evals",
-)
+# Trace CSV: five columns name the run, then one column per IterationRecord
+# field (column -> field); both the header and every row derive from these.
+TRACE_RUN_COLUMNS = ("problem", "method", "eps_f", "eps_g", "rep")
+TRACE_RECORD_FIELDS = {
+    "k": "k",
+    "phi": "phi",
+    "grad_norm": "grad_norm",
+    "f_measured": "f_measured",
+    "alpha": "alpha",
+    "beta": "beta",
+    "sty": "sty",
+    "curvature_failed": "curvature_failed",
+    "trace_h": "trace_h",
+    "evals": "evals_so_far",
+}
+TRACE_COLUMNS = TRACE_RUN_COLUMNS + tuple(TRACE_RECORD_FIELDS)
+_record_values = operator.attrgetter(*TRACE_RECORD_FIELDS.values())
 
 
 def delta_opt(phi_best, phi_star):
@@ -222,21 +236,14 @@ def run_one(spec, problem_ref, method, cell, rep):
         budget_evals=spec.budget_evals,
         budget_iters=spec.budget_iters,
         seed=run_seed(spec.master_seed, problem.name, method, cell, rep),
+        record_iterations=spec.record_traces,
     )
     if method == "spbfgs":
         trace = minimize(problem, config)
     else:
         trace = minimize_baseline_bfgs(problem, config)
-    rows = ()
-    if spec.record_traces:
-        rows = tuple(
-            (
-                problem.name, method, cell.eps_f, cell.eps_g, rep, rec.k, rec.phi,
-                rec.grad_norm, rec.f_measured, rec.alpha, rec.beta, rec.sty,
-                int(rec.curvature_failed), rec.trace_h, rec.evals_so_far,
-            )
-            for rec in trace.records
-        )
+    run_values = (problem.name, method, cell.eps_f, cell.eps_g, rep)  # TRACE_RUN_COLUMNS
+    rows = tuple(run_values + _record_values(rec) for rec in trace.records)
     return RunOutcome(
         problem=problem.name,
         method=method,
@@ -258,6 +265,8 @@ def _run_job(args):
 def _format(value):
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"

@@ -8,8 +8,15 @@ consume no draws and return the smooth value exactly.
 
 The oracle also keeps a noise-free side channel: it records the smallest
 true value seen at any evaluated point (phi_best), which is what benchmark
-accuracy is measured against.  Only function evaluations count toward the
-optional evaluation budget; gradient calls are free.
+accuracy is measured against, and the true value and true gradient of its
+latest measurements (last_phi, last_grad), which the driver's per-iterate
+records reuse instead of evaluating the problem again.  Only function
+evaluations count toward the optional evaluation budget; gradient calls are
+free.
+
+The oracle does not touch numpy's floating-point error state: a caller
+that expects overflow (trial points far from a minimizer) enters
+np.errstate once around the whole run, as the driver does.
 """
 
 import math
@@ -47,7 +54,7 @@ def sample_ball(rng, n, radius):
     if radius == 0.0:
         return np.zeros(n)
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(float(v @ v))  # np.linalg.norm(v), without its overhead
     return (radius * rng.random() ** (1.0 / n)) * v
 
 
@@ -65,28 +72,29 @@ class NoisyOracle:
         self.n_g_evals = 0
         self.phi_best = math.inf
         self.x_best = None
+        self.last_phi = math.nan  # true value at the latest f measurement
+        self.last_grad = None  # true gradient at the latest grad measurement
 
     def f(self, x):
         """One noisy function measurement; raises EvaluationBudgetError when spent."""
         if self.budget_evals is not None and self.n_f_evals >= self.budget_evals:
             raise EvaluationBudgetError(f"evaluation budget of {self.budget_evals} exhausted")
         self.n_f_evals += 1
-        # Trial points far from a minimizer may overflow to inf; the driver
-        # and line search treat non-finite values correctly, so don't warn.
-        with np.errstate(all="ignore"):
-            phi = float(self.problem.f(x))
+        phi = self.last_phi = float(self.problem.f(x))
         if math.isfinite(phi) and phi < self.phi_best:
             self.phi_best = phi
             self.x_best = np.array(x, dtype=float, copy=True)
-        if self.spec.eps_f == 0.0:
+        eps_f = self.spec.eps_f
+        if eps_f == 0.0:
             return phi
-        return phi + self.rng.uniform(-self.spec.eps_f, self.spec.eps_f)
+        # the draw rng.uniform(-eps_f, eps_f) makes, low + (high - low) * random(),
+        # bit for bit, without its per-call argument handling
+        return phi + (-eps_f + (eps_f + eps_f) * self.rng.random())
 
     def grad(self, x):
         """One noisy gradient measurement (never charged to the budget)."""
         self.n_g_evals += 1
-        with np.errstate(all="ignore"):
-            g = np.asarray(self.problem.grad(x), dtype=float)
+        g = self.last_grad = np.asarray(self.problem.grad(x), dtype=float)
         if self.spec.eps_g == 0.0:
             return g
         return g + sample_ball(self.rng, g.shape[0], self.spec.eps_g)

@@ -14,7 +14,14 @@ is no gradient-norm stop; with noisy measurements such a test is
 meaningless near the noise floor.
 
 The trace records, per iterate, a noise-free side channel (true value and
-true gradient norm) that the driver never lets the method itself see.
+true gradient norm) that the driver never lets the method itself see.  It
+costs no extra evaluation: the oracle keeps the true value and gradient it
+last computed, and the records (side channel, copy of x, trace of H) are
+built only when RunConfig.record_iterations is on.  A run without records
+returns the same RunTrace counters and best point, with an empty records
+list.  The whole run, oracle calls included, executes under
+np.errstate(all="ignore"): overflow at trial points far from a minimizer
+is expected and handled, not warned about.
 """
 
 import math
@@ -39,7 +46,8 @@ class RunConfig:
     budget_iters: Optional[int] = None
     seed: int = 0
     h0: Optional[np.ndarray] = None  # initial inverse approximation, identity when None
-    record_hessian_diagnostics: bool = False
+    record_iterations: bool = True  # one IterationRecord per iterate in RunTrace.records
+    record_hessian_diagnostics: bool = False  # pd_ok on each record; needs record_iterations
 
     def __post_init__(self):
         # a scaled policy takes its step scale from this run's gradient noise;
@@ -78,7 +86,7 @@ class IterationRecord:
 class RunTrace:
     problem: str
     method: str
-    records: List[IterationRecord] = field(default_factory=list)
+    records: List[IterationRecord] = field(default_factory=list)  # empty without record_iterations
     phi_best: float = math.inf
     x_best: Optional[np.ndarray] = None
     n_iterations: int = 0
@@ -117,91 +125,119 @@ def _run(problem, config, method, baseline):
         h = np.array(config.h0, dtype=float, copy=True)
         if h.shape != (n, n):
             raise ValueError(f"h0 must be {n}x{n}, got {h.shape}")
+    keep_records = config.record_iterations
+    rec = None  # the latest record, if any
 
-    def state_record(k, f_measured):
-        g_true = problem.grad(x)
-        return IterationRecord(
+    def state_record(k, f_measured, phi):
+        # side channel: the true value and gradient the oracle computed at x
+        new = IterationRecord(
             k=k,
             x=x.copy(),
             f_measured=f_measured,
-            phi=float(problem.f(x)),
-            grad_norm=float(np.linalg.norm(g_true)),
+            phi=phi,
+            grad_norm=float(np.linalg.norm(oracle.last_grad)),
             evals_so_far=oracle.n_f_evals,
         )
+        trace.records.append(new)
+        return new
 
     def finalize():
+        if rec is not None:
+            rec.evals_so_far = oracle.n_f_evals
         trace.phi_best = oracle.phi_best
         trace.x_best = oracle.x_best
         trace.n_f_evals = oracle.n_f_evals
         trace.n_g_evals = oracle.n_g_evals
         return trace
 
-    try:
-        f_meas = oracle.f(x)
-    except EvaluationBudgetError:
+    def fail(reason):
+        trace.failed = True
+        trace.failure = f"{reason} at iteration {k}"
         return finalize()
-    g = oracle.grad(x)
-    k = 0
-    while True:
-        rec = state_record(k, f_meas)
-        trace.records.append(rec)
-        if config.budget_iters is not None and k >= config.budget_iters:
-            break
-        p = -(h @ g)
-        gdotp = float(g @ p)
-        try:
-            alpha, f_acc, n_trials = backtrack(oracle.f, x, p, f_meas, gdotp, config.linesearch)
-        except EvaluationBudgetError:
-            rec.evals_so_far = oracle.n_f_evals
-            break
-        rec.alpha = alpha
-        rec.f_accepted = f_acc
-        rec.n_trials = n_trials
-        if alpha > 0.0:
-            x_new = x + alpha * p
-        else:
-            x_new = x
-        g_new = oracle.grad(x_new)
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(g_new)) and math.isfinite(f_acc)):
-            trace.failed = True
-            trace.failure = f"non-finite state at iteration {k}"
-            rec.evals_so_far = oracle.n_f_evals
-            break
-        if alpha == 0.0:
-            # exhausted line search: no step, update skipped without
-            # consulting the policy, iteration still counts
-            rec.sty = 0.0
-            rec.action = SKIP
-            trace.n_zero_steps += 1
-        else:
-            pair = CurvaturePair(x_new - x, g_new - g)
-            beta, action, curvature_failed = _decide(config.policy, pair, baseline)
-            rec.beta = beta
-            rec.sty = pair.sty
-            rec.action = action
-            rec.curvature_failed = curvature_failed
-            if curvature_failed:
-                trace.n_curvature_failures += 1
-            if action == UPDATE:
-                try:
-                    h = spbfgs_update(h, pair, compute_penalty_scalars(pair, beta))
-                except NonFiniteError:
-                    trace.failed = True
-                    trace.failure = f"non-finite update at iteration {k}"
-                    rec.evals_so_far = oracle.n_f_evals
-                    break
-        rec.trace_h = float(np.trace(h))
-        if config.record_hessian_diagnostics:
-            rec.pd_ok = is_positive_definite(h)
-        rec.evals_so_far = oracle.n_f_evals
-        trace.n_iterations = k + 1
-        x, g = x_new, g_new
-        k += 1
+
+    # Trial points far from a minimizer may overflow to inf; the driver and
+    # line search treat non-finite values correctly, so don't warn.
+    with np.errstate(all="ignore"):
         try:
             f_meas = oracle.f(x)
         except EvaluationBudgetError:
-            trace.records.append(state_record(k, math.nan))
-            break
+            return finalize()
+        g = oracle.grad(x)
+        k = 0
+        while True:
+            if keep_records:
+                rec = state_record(k, f_meas, oracle.last_phi)
+            if config.budget_iters is not None and k >= config.budget_iters:
+                break
+            p = -(h @ g)
+            gdotp = float(g @ p)
+            try:
+                alpha, f_acc, n_trials = backtrack(oracle.f, x, p, f_meas, gdotp, config.linesearch)
+            except EvaluationBudgetError:
+                break
+            if keep_records:
+                rec.alpha = alpha
+                rec.f_accepted = f_acc
+                rec.n_trials = n_trials
+            if alpha > 0.0:
+                x_new = x + alpha * p
+            else:
+                x_new = x
+            g_new = oracle.grad(x_new)
+            # Each new vector is scanned once.  x and g are finite, so a finite
+            # pair s = x_new - x, y = g_new - g (CurvaturePair checks it) means
+            # a finite x_new and g_new; a zero step keeps x, leaving g_new.
+            if not math.isfinite(f_acc):
+                return fail("non-finite state")
+            if alpha == 0.0:
+                if not np.isfinite(g_new).all():
+                    return fail("non-finite state")
+                # exhausted line search: no step, update skipped without
+                # consulting the policy, iteration still counts
+                if keep_records:
+                    rec.sty = 0.0
+                    rec.action = SKIP
+                trace.n_zero_steps += 1
+            else:
+                try:
+                    pair = CurvaturePair(x_new - x, g_new - g)
+                except NonFiniteError:
+                    return fail("non-finite state")
+                beta, action, curvature_failed = _decide(config.policy, pair, baseline)
+                if curvature_failed:
+                    trace.n_curvature_failures += 1
+                if action == UPDATE:
+                    try:
+                        scalars = compute_penalty_scalars(pair, beta)
+                    except NonFiniteError:
+                        # a denominator (s.y, or s.y + 1/beta) so near zero
+                        # that its reciprocal overflows: no usable update
+                        beta, action = 0.0, SKIP
+                if keep_records:
+                    rec.beta = beta
+                    rec.sty = pair.sty
+                    rec.action = action
+                    rec.curvature_failed = curvature_failed
+                if action == UPDATE:
+                    try:
+                        h = spbfgs_update(h, pair, scalars)
+                    except NonFiniteError:
+                        return fail("non-finite update")
+            if keep_records:
+                rec.trace_h = float(np.trace(h))
+                if config.record_hessian_diagnostics:
+                    rec.pd_ok = is_positive_definite(h)
+                rec.evals_so_far = oracle.n_f_evals
+            trace.n_iterations = k + 1
+            x, g = x_new, g_new
+            k += 1
+            try:
+                f_meas = oracle.f(x)
+            except EvaluationBudgetError:
+                if keep_records:
+                    # the budget ran out before the oracle evaluated x
+                    rec = state_record(k, math.nan, float(problem.f(x)))
+                break
     return finalize()
 
 
@@ -228,10 +264,11 @@ def fixed_step_descent(problem, noise, alpha, n_iters, seed):
     x = np.array(problem.x0, dtype=float, copy=True)
     xs = np.empty((n_iters + 1, problem.n))
     phis = np.empty(n_iters + 1)
-    for k in range(n_iters):
-        xs[k] = x
-        phis[k] = problem.f(x)
-        x = x - alpha * oracle.grad(x)
-    xs[n_iters] = x
-    phis[n_iters] = problem.f(x)
+    with np.errstate(all="ignore"):
+        for k in range(n_iters):
+            xs[k] = x
+            phis[k] = problem.f(x)
+            x = x - alpha * oracle.grad(x)
+        xs[n_iters] = x
+        phis[n_iters] = problem.f(x)
     return xs, phis

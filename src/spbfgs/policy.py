@@ -101,7 +101,7 @@ def propose_beta(policy, s):
         return math.inf
     if policy.kind == "constant":
         return policy.beta
-    norm_s = float(np.linalg.norm(s))
+    norm_s = math.sqrt(float(s @ s))  # np.linalg.norm(s), without its overhead
     if policy.kind == "linear":
         return policy.step_scale * norm_s + policy.offset
     if policy.kind == "thresholded":

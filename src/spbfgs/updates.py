@@ -48,7 +48,10 @@ def _penalized_rank_two_update(h, s, y, gamma, omega):
     hy = h @ y
     yhy = float(y @ hy)
     coef = gamma * (1.0 + omega * yhy)
-    out = h - omega * (np.outer(s, hy) + np.outer(hy, s)) + coef * np.outer(s, s)
+    # broadcast products are np.outer(a, b) without its wrapper: same ufunc,
+    # same operands; a transposed view instead of (Hy)s^T is slower at large n
+    sc = s[:, None]
+    out = h - omega * (sc * hy + hy[:, None] * s) + coef * (sc * s)
     # outer-product sums are elementwise symmetric, so this is a bitwise no-op
     # unless h itself was slightly asymmetric
     return 0.5 * (out + out.T)
@@ -93,7 +96,7 @@ class CurvaturePair:
         y = np.asarray(self.y, dtype=float)
         if s.ndim != 1 or s.shape != y.shape:
             raise BadDimensionError("s and y must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(s).all() and np.isfinite(y).all()):
             raise NonFiniteError("curvature pair contains non-finite entries")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "y", y)
@@ -138,7 +141,9 @@ def compute_penalty_scalars(pair, beta):
     and beta = +inf gives gamma = omega = 1/s.y (update is BFGS).  The
     curvature condition is NOT enforced here; a pair with s.y <= -1/beta
     yields well-defined scalars whose update simply fails to stay positive
-    definite.  Exactly-zero denominators raise SingularDenominatorError.
+    definite.  Exactly-zero denominators raise SingularDenominatorError;
+    coefficients that overflow (a subnormal denominator) raise
+    NonFiniteError.
     """
     if beta < 0.0 or math.isnan(beta):
         raise ValueError(f"beta must lie in [0, +inf], got {beta}")
@@ -148,6 +153,8 @@ def compute_penalty_scalars(pair, beta):
         if pair.sty == 0.0:
             raise SingularDenominatorError("s.y = 0 with beta = +inf")
         rho = 1.0 / pair.sty
+        if not math.isfinite(rho):
+            raise NonFiniteError(f"1/s.y overflowed: s.y = {pair.sty}")
         return PenaltyScalars(beta, rho, rho)
     d1 = pair.sty + 1.0 / beta
     d2 = pair.sty + 2.0 / beta
@@ -178,7 +185,7 @@ def bfgs_update(h, pair):
         raise CurvatureViolationError(f"BFGS update needs s.y > 0, got {pair.sty}")
     rho = 1.0 / pair.sty
     out = _penalized_rank_two_update(h, pair.s, pair.y, rho, rho)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteError("BFGS update produced non-finite entries")
     return out
 
@@ -194,7 +201,7 @@ def spbfgs_update(h, pair, scalars):
     if scalars.gamma == 0.0 and scalars.omega == 0.0:
         return h.copy()
     out = _penalized_rank_two_update(h, pair.s, pair.y, scalars.gamma, scalars.omega)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteError("penalized update produced non-finite entries")
     return out
 
@@ -240,6 +247,6 @@ def spbfgs_inverse_update(b, pair, scalars):
         + (omega * sbs) * np.outer(y, y)
     )
     out = b - (omega / den) * num
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteError("inverse-form update produced non-finite entries")
     return symmetrize(out)

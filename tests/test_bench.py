@@ -1,11 +1,15 @@
 """Benchmark harness: seeding, statistics, CSV output, config files, CLI."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import spbfgs.bench
 from spbfgs.bench import (
+    TRACE_COLUMNS,
+    TRACE_RECORD_FIELDS,
     ExperimentSpec,
     ProblemRef,
     SummaryRow,
@@ -22,7 +26,7 @@ from spbfgs.cli import main as cli_main
 from spbfgs.config import load_experiment
 from spbfgs.errors import ConfigError, EmptyCellError
 from spbfgs.noise import NoiseSpec
-from spbfgs.optimizer import RunConfig
+from spbfgs.optimizer import IterationRecord, RunConfig
 from spbfgs.policy import PenaltyPolicy, propose_beta
 from spbfgs.problems import Problem
 
@@ -206,6 +210,35 @@ class TestRunOne:
         out = run_one(spec, ProblemRef("rosenbrock"), "bfgs", NoiseSpec(0.0, 0.0), 1)
         assert len(out.trace_rows) == out.n_iterations + 1
         assert all(len(row) == 15 for row in out.trace_rows)
+
+    @pytest.mark.parametrize("record_traces", [False, True])
+    def test_records_kept_only_for_traces(self, tmp_path, monkeypatch, record_traces):
+        seen = []
+        minimize = spbfgs.bench.minimize
+
+        def spy(problem, config):
+            seen.append(config.record_iterations)
+            return minimize(problem, config)
+
+        monkeypatch.setattr(spbfgs.bench, "minimize", spy)
+        spec = small_spec(tmp_path, record_traces=record_traces)
+        out = run_one(spec, ProblemRef("rosenbrock"), "spbfgs", NoiseSpec(1e-6, 1e-4), 0)
+        assert seen == [record_traces]
+        assert len(out.trace_rows) == (out.n_iterations + 1 if record_traces else 0)
+
+    def test_trace_columns_come_from_record_fields(self, tmp_path):
+        assert TRACE_COLUMNS == (
+            "problem", "method", "eps_f", "eps_g", "rep", "k", "phi", "grad_norm",
+            "f_measured", "alpha", "beta", "sty", "curvature_failed", "trace_h", "evals",
+        )
+        assert set(TRACE_RECORD_FIELDS.values()) <= {
+            f.name for f in dataclasses.fields(IterationRecord)}
+        spec = small_spec(tmp_path, record_traces=True)
+        out = run_one(spec, ProblemRef("beale"), "bfgs", NoiseSpec(1e-6, 1e-4), 2)
+        row = dict(zip(TRACE_COLUMNS, out.trace_rows[1]))
+        assert (row["problem"], row["method"], row["eps_f"], row["eps_g"], row["rep"]) == (
+            "beale", "bfgs", 1e-6, 1e-4, 2)
+        assert row["k"] == 1 and isinstance(row["curvature_failed"], bool)
 
     def test_replicates_differ_under_noise(self, tmp_path):
         spec = small_spec(tmp_path)

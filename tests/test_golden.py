@@ -1,11 +1,13 @@
 """Golden grid: summary.csv must reproduce the committed bytes exactly.
 
 Each tests/golden/<name>.ini is a small sweep; <name>.csv holds the summary
-bytes it produced when the grid was recorded.  The bytes are pinned to the
-numpy version in numpy_version.txt (the float results of the linear algebra
-may differ between versions), so the test skips under any other version.
-A refactor that keeps the numerics must leave every file byte-equal; an
-intended numerical change regenerates the .csv files and says why.
+bytes it produced when the grid was recorded.  A sweep that records traces
+also has <name>.traces.csv, the bytes of its traces.csv, side channel
+included.  The bytes are pinned to the numpy version in numpy_version.txt
+(the float results of the linear algebra may differ between versions), so
+the test skips under any other version.  A refactor that keeps the
+numerics must leave every file byte-equal; an intended numerical change
+regenerates the .csv files and says why.
 """
 
 from dataclasses import replace
@@ -29,3 +31,7 @@ def test_summary_bytes(name, tmp_path):
     result = run_experiment(spec)
     assert result.n_failed == 0 and result.n_dropped == 0
     assert (tmp_path / "summary.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    expected_traces = GOLDEN / f"{name}.traces.csv"
+    assert spec.record_traces == expected_traces.exists()
+    if spec.record_traces:
+        assert (tmp_path / "traces.csv").read_bytes() == expected_traces.read_bytes()

@@ -1,6 +1,8 @@
 """Driver loop: convergence, method equivalence, budgets, failure paths."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,18 @@ class TestNoiselessConvergence:
     def test_quadratic_reaches_machine_floor(self):
         trace = minimize(quad2(), RunConfig(budget_iters=30))
         assert trace.phi_best < 1e-16
+
+    def test_subnormal_curvature_skips_instead_of_failing(self):
+        # at k = 29 the pair has s.y = 1.63e-322, so 1/s.y overflows; the
+        # update is skipped (H kept) and the run goes on to its budget
+        trace = minimize(quad2(), RunConfig(budget_iters=30))
+        assert not trace.failed
+        assert trace.n_iterations == 30
+        assert trace.final_record.k == 30
+        skipped = [r for r in trace.records if r.action == "skip"]
+        assert skipped and all(r.beta == 0.0 and 0.0 < r.sty < 1e-300 for r in skipped)
+        for rec in skipped:
+            assert rec.trace_h == trace.records[rec.k - 1].trace_h
 
     def test_rosenbrock_within_budget(self):
         prob = get_problem("rosenbrock")
@@ -130,6 +144,36 @@ class TestStepAccounting:
         assert len(trace.records) >= 1
         assert not trace.records[-1].curvature_failed
 
+    @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
+    def test_overflowing_pair_fails_the_run(self, run):
+        # x and g stay finite, but y = g_new - g = 2e308 overflows
+        prob = Problem("overflow", 1, lambda x: -1e308 * x[0],
+                       lambda x: np.array([-1e308 if x[0] < 0.005 else 1e308]),
+                       np.array([0.0]), -np.inf)
+        trace = run(prob, RunConfig(budget_iters=5, h0=[[1e-310]]))
+        assert trace.failed
+        assert trace.failure == "non-finite state at iteration 0"
+        assert trace.n_iterations == 0
+        assert trace.records[-1].alpha > 0.0 and trace.records[-1].sty is None
+
+    def test_nonfinite_start_gradient_fails_the_run(self):
+        prob = Problem("nan-start", 1, lambda x: float(x[0] ** 2),
+                       lambda x: np.array([math.nan]), np.array([1.0]), 0.0)
+        trace = minimize(prob, RunConfig(linesearch=LineSearchConfig(max_backtracks=3),
+                                         budget_iters=5))
+        assert trace.failed
+        assert trace.failure == "non-finite state at iteration 0"
+        assert trace.n_zero_steps == 0 and trace.n_iterations == 0
+
+    def test_overflow_is_not_warned(self):
+        # trial points far out overflow to inf; the run handles that silently
+        prob = Problem("steep", 1, lambda x: float(np.exp(x[0] ** 2)),
+                       lambda x: 2.0 * x * np.exp(x ** 2), np.array([2.0]), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = minimize(prob, RunConfig(budget_iters=20))
+        assert not trace.failed
+
     def test_curvature_failure_counted_for_baseline(self):
         prob = get_problem("quadratic_ill")
         cfg = RunConfig(policy=PenaltyPolicy(kind="constant-infinity"),
@@ -158,6 +202,72 @@ class TestStepAccounting:
         stepped = [r for r in trace.records if r.alpha is not None]
         assert all(r.pd_ok for r in stepped)
         assert all(r.trace_h is not None for r in stepped)
+
+
+def counting(problem):
+    """The problem with f and grad wrapped to count their calls."""
+    calls = {"f": 0, "grad": 0}
+
+    def f(x):
+        calls["f"] += 1
+        return problem.f(x)
+
+    def grad(x):
+        calls["grad"] += 1
+        return problem.grad(x)
+
+    return dataclasses.replace(problem, f=f, grad=grad), calls
+
+
+RESULT_FIELDS = ("phi_best", "n_iterations", "n_f_evals", "n_g_evals",
+                 "n_curvature_failures", "n_zero_steps", "failed", "failure")
+
+
+class TestRecordsOff:
+    @pytest.mark.parametrize("name", ["rosenbrock", "beale", "cube", "box3"])
+    @pytest.mark.parametrize("noise", [NoiseSpec(0.0, 0.0), NoiseSpec(1e-6, 1e-4),
+                                       NoiseSpec(0.0, 1e-1)])
+    def test_no_side_channel_calls(self, name, noise):
+        # without records the problem is evaluated only through the oracle
+        for run in (minimize, minimize_baseline_bfgs):
+            prob, calls = counting(get_problem(name))
+            cfg = RunConfig(noise=noise, budget_evals=300, seed=4, record_iterations=False)
+            trace = run(prob, cfg)
+            assert trace.records == []
+            assert calls == {"f": trace.n_f_evals, "grad": trace.n_g_evals}
+
+    @pytest.mark.parametrize("policy", [
+        PenaltyPolicy(kind="scaled", scale=1e8, offset=1e-10),
+        PenaltyPolicy(kind="constant", beta=1e3, recovery="shrink"),
+        PenaltyPolicy(kind="thresholded", step_scale=1e6, threshold=1.0),
+        PenaltyPolicy(kind="constant-infinity", skip_rule="cosine", skip_zeta=1e-3),
+    ])
+    @pytest.mark.parametrize("name", ["rosenbrock", "beale", "helix"])
+    def test_same_result_with_and_without_records(self, policy, name):
+        for noise in (NoiseSpec(0.0, 0.0), NoiseSpec(1e-6, 1e-4), NoiseSpec(1e-4, 1e-2)):
+            for run in (minimize, minimize_baseline_bfgs):
+                cfg = RunConfig(policy=policy, noise=noise, budget_evals=300, seed=9)
+                on = run(get_problem(name), cfg)
+                off = run(get_problem(name), dataclasses.replace(cfg, record_iterations=False))
+                assert len(on.records) == on.n_iterations + 1 and off.records == []
+                for attr in RESULT_FIELDS:
+                    assert getattr(on, attr) == getattr(off, attr), attr
+                assert np.array_equal(on.x_best, off.x_best)
+
+    def test_records_reuse_the_oracle_values(self):
+        # phi and grad_norm of each record are the true values at its x; only
+        # a final record whose x the spent budget left unmeasured costs a call
+        unmeasured_ends = 0
+        for budget in range(100, 110):
+            prob, calls = counting(get_problem("rosenbrock"))
+            trace = minimize(prob, RunConfig(noise=NoiseSpec(1e-6, 1e-4), budget_evals=budget))
+            unmeasured = math.isnan(trace.final_record.f_measured)
+            unmeasured_ends += unmeasured
+            assert calls == {"f": trace.n_f_evals + unmeasured, "grad": trace.n_g_evals}
+            for rec in trace.records:
+                assert rec.phi == prob.f(rec.x)
+                assert rec.grad_norm == float(np.linalg.norm(prob.grad(rec.x)))
+        assert 0 < unmeasured_ends < 10
 
 
 class TestRunConfig:
@@ -213,7 +323,6 @@ class TestFixedStepDescent:
             calls["f"] += 1
             return orig_f(x)
 
-        import dataclasses
         counted = dataclasses.replace(prob, f=counting_f)
         fixed_step_descent(counted, NoiseSpec(), 0.1, 5, seed=0)
         # only the trace's own true-value bookkeeping reads f, never the oracle

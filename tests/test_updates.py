@@ -62,6 +62,16 @@ class TestCurvaturePair:
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(NonFiniteError):
             CurvaturePair([1.0, bad], [1.0, 1.0])
+        # opposite a zero, or in y: s.y is nan or inf all the same
+        with pytest.raises(NonFiniteError):
+            CurvaturePair([1.0, bad], [1.0, 0.0])
+        with pytest.raises(NonFiniteError):
+            CurvaturePair([0.0, 1.0], [bad, 1.0])
+
+    def test_overflowing_sty_of_finite_entries_accepted(self):
+        with np.errstate(over="ignore"):
+            pair = CurvaturePair([1e300, 1e300], [1e300, 1e300])
+        assert pair.sty == math.inf
 
 
 class TestCurvatureConditions:
@@ -110,6 +120,12 @@ class TestPenaltyScalars:
         sc = compute_penalty_scalars(pair, math.inf)
         assert sc.gamma == 1.0 / 6.0
         assert sc.omega == 1.0 / 6.0
+
+    def test_beta_inf_subnormal_sty_overflows(self):
+        pair = CurvaturePair([1.63e-322], [1.0])
+        assert 0.0 < pair.sty < 1e-300
+        with pytest.raises(NonFiniteError):
+            compute_penalty_scalars(pair, math.inf)
 
     def test_beta_inf_zero_sty_singular(self):
         with pytest.raises(SingularDenominatorError):
