@@ -8,6 +8,12 @@ the baseline admission rule.  An exhausted line search keeps the iterate
 (alpha = 0, step skipped without consulting the policy) and the iteration
 still counts.
 
+H is updated in place, with two n x n scratch arrays allocated once per
+run, so an iteration allocates nothing of size n x n.  The kernel keeps a
+symmetric H exactly symmetric without a symmetrizing pass, so symmetry is
+checked once, on h0, when the run starts; an h0 that is not exactly
+symmetric is rejected with ValueError.
+
 Termination is budget-only: a fixed number of iterations, or of noisy
 function evaluations (line-search trials included, gradients free).  There
 is no gradient-norm stop; with noisy measurements such a test is
@@ -122,9 +128,13 @@ def _run(problem, config, method, baseline):
     if config.h0 is None:
         h = np.eye(n)
     else:
-        h = np.array(config.h0, dtype=float, copy=True)
+        h = np.array(config.h0, dtype=float, order="C")
         if h.shape != (n, n):
             raise ValueError(f"h0 must be {n}x{n}, got {h.shape}")
+        if not np.array_equal(h, h.T, equal_nan=True):
+            raise ValueError("h0 must be exactly symmetric")
+    # the update overwrites h and these, so no iteration allocates an n x n array
+    scratch = (np.empty((n, n)), np.empty((n, n)))
     keep_records = config.record_iterations
     rec = None  # the latest record, if any
 
@@ -220,7 +230,7 @@ def _run(problem, config, method, baseline):
                     rec.curvature_failed = curvature_failed
                 if action == UPDATE:
                     try:
-                        h = spbfgs_update(h, pair, scalars)
+                        spbfgs_update(h, pair, scalars, scratch)
                     except NonFiniteError:
                         return fail("non-finite update")
             if keep_records:

@@ -25,6 +25,15 @@ The expanded form actually computed is algebraically identical:
 
     H+ = H - omega (s (Hy)^T + (Hy) s^T) + gamma (1 + omega y.Hy) s s^T.
 
+One kernel computes it in place, into H, with two caller-owned n x n
+scratch arrays, so a call allocates nothing of size n x n.  The driver
+passes its own H and scratch allocated once per run; the public functions
+called without scratch copy H and return the copy, through the same
+kernel.  H must be exactly symmetric, and then so is the result: entries
+(i, j) and (j, i) come out of the same IEEE operations.  Symmetry is a
+precondition checked where H enters (the driver's h0, the copying public
+path), not a pass over every result.
+
 A direct update of the Hessian approximation B = H^{-1} is provided for
 diagnostics; the driver itself only maintains H.
 """
@@ -43,18 +52,28 @@ from .errors import (
 )
 
 
-def _penalized_rank_two_update(h, s, y, gamma, omega):
-    """H - omega*(s(Hy)^T + (Hy)s^T) + gamma*(1 + omega*y.Hy) ss^T, exactly symmetric."""
+def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
+    """Overwrite h with H - omega*(s(Hy)^T + (Hy)s^T) + gamma*(1 + omega*y.Hy) ss^T.
+
+    a and b are n x n float scratch arrays, distinct from h and from each
+    other; both are clobbered.  For symmetric h the result is exactly
+    symmetric, with no symmetrizing pass: s_i (Hy)_j + (Hy)_i s_j and
+    s_i s_j are the same IEEE operations as their transposes, commuted.
+    """
     hy = h @ y
     yhy = float(y @ hy)
     coef = gamma * (1.0 + omega * yhy)
     # broadcast products are np.outer(a, b) without its wrapper: same ufunc,
     # same operands; a transposed view instead of (Hy)s^T is slower at large n
     sc = s[:, None]
-    out = h - omega * (sc * hy + hy[:, None] * s) + coef * (sc * s)
-    # outer-product sums are elementwise symmetric, so this is a bitwise no-op
-    # unless h itself was slightly asymmetric
-    return 0.5 * (out + out.T)
+    np.multiply(sc, hy, out=a)
+    np.multiply(hy[:, None], s, out=b)
+    a += b
+    a *= omega
+    h -= a
+    np.multiply(sc, s, out=b)
+    b *= coef
+    h += b
 
 
 def symmetrize(a):
@@ -174,36 +193,58 @@ def _checked_square(h, n, name="H"):
     return h
 
 
-def bfgs_update(h, pair):
-    """Classic BFGS update of the inverse approximation.
+def _symmetric_copy(h, n):
+    """A fresh C-contiguous float copy of H, which must be n x n and exactly symmetric."""
+    h = _checked_square(h, n)
+    if not np.array_equal(h, h.T, equal_nan=True):
+        raise DegenerateInputError("H must be exactly symmetric")
+    return h.copy()
 
-    Requires s.y > 0 (raises CurvatureViolationError otherwise); identical,
-    coefficient for coefficient, to spbfgs_update at beta = +inf.
+
+def bfgs_update(h, pair):
+    """Classic BFGS update of the inverse approximation, returned as a new array.
+
+    H must be exactly symmetric (DegenerateInputError otherwise); the result
+    then is too.  Requires s.y > 0 (raises CurvatureViolationError
+    otherwise); identical, coefficient for coefficient, to spbfgs_update at
+    beta = +inf.
     """
-    h = _checked_square(h, pair.n)
+    h = _symmetric_copy(h, pair.n)
     if pair.sty <= 0.0:
         raise CurvatureViolationError(f"BFGS update needs s.y > 0, got {pair.sty}")
     rho = 1.0 / pair.sty
-    out = _penalized_rank_two_update(h, pair.s, pair.y, rho, rho)
-    if not np.isfinite(out).all():
+    _penalized_rank_two_update(h, pair.s, pair.y, rho, rho, np.empty_like(h), np.empty_like(h))
+    if not np.isfinite(h).all():
         raise NonFiniteError("BFGS update produced non-finite entries")
-    return out
+    return h
 
 
-def spbfgs_update(h, pair, scalars):
+def spbfgs_update(h, pair, scalars, scratch=None):
     """Penalized rank-two update of the inverse approximation.
 
-    The result is exactly symmetric.  It is positive definite (given H
-    positive definite) iff s.y > -1/beta; callers that need definiteness
-    must check spbfgs_curvature_ok first, this routine does not.
+    Without scratch, H is left untouched and the update is returned as a
+    new array; H must be exactly symmetric (DegenerateInputError
+    otherwise).  With scratch = (a, b), two n x n float arrays distinct
+    from H and from each other, H must be a C-contiguous n x n float array,
+    symmetric as a precondition the caller owns (nothing here checks it);
+    H is overwritten with the update and returned, and a and b are
+    clobbered.  That is the driver's path: no n x n array is allocated.
+
+    For symmetric H the result is exactly symmetric.  It is positive
+    definite (given H positive definite) iff s.y > -1/beta; callers that
+    need definiteness must check spbfgs_curvature_ok first, this routine
+    does not.  A non-finite result raises NonFiniteError; in place, H then
+    holds it.
     """
-    h = _checked_square(h, pair.n)
+    if scratch is None:
+        h = _symmetric_copy(h, pair.n)
+        scratch = (np.empty_like(h), np.empty_like(h))
     if scalars.gamma == 0.0 and scalars.omega == 0.0:
-        return h.copy()
-    out = _penalized_rank_two_update(h, pair.s, pair.y, scalars.gamma, scalars.omega)
-    if not np.isfinite(out).all():
+        return h
+    _penalized_rank_two_update(h, pair.s, pair.y, scalars.gamma, scalars.omega, *scratch)
+    if not np.isfinite(h).all():
         raise NonFiniteError("penalized update produced non-finite entries")
-    return out
+    return h
 
 
 def spbfgs_inverse_update(b, pair, scalars):

@@ -27,7 +27,9 @@ from spbfgs.updates import (
 def random_spd(rng, n, spread=2.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     vals = np.exp(rng.uniform(-spread, spread, size=n))
-    return (q * vals) @ q.T
+    m = (q * vals) @ q.T
+    # the update takes only an exactly symmetric H; the product is off by ulps
+    return 0.5 * (m + m.T)
 
 
 def toy_convex(m=1.0, phi_star=0.0):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from spbfgs import optimizer
 from spbfgs.linesearch import LineSearchConfig
 from spbfgs.noise import NoiseSpec
 from spbfgs.optimizer import (
@@ -156,6 +158,27 @@ class TestStepAccounting:
         assert trace.n_iterations == 0
         assert trace.records[-1].alpha > 0.0 and trace.records[-1].sty is None
 
+    @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
+    def test_overflowing_update_fails_the_run(self, run):
+        # f = -x accepts every unit step: x goes 0 -> 1 -> 2.  The first pair
+        # (s = 1, y = 0.5) updates H to 2; the second (s = 1, y = 1e308) is
+        # finite with a finite 1/s.y, but H y = 2e308 overflows in the kernel
+        def grad(x):
+            return np.array([-1.0 if x[0] < 0.5 else -0.5 if x[0] < 1.5 else 1e308])
+
+        prob = Problem("late-overflow", 1, lambda x: -float(x[0]), grad, np.array([0.0]), -np.inf)
+        trace = run(prob, RunConfig(budget_iters=5))
+        assert trace.failed
+        assert trace.failure == "non-finite update at iteration 1"
+        # the state before the bad update: f at x0, 1, 1 (start of k = 1), 2
+        assert trace.phi_best == -2.0
+        np.testing.assert_array_equal(trace.x_best, [2.0])
+        assert (trace.n_iterations, trace.n_f_evals, trace.n_g_evals) == (1, 4, 3)
+        assert (trace.n_curvature_failures, trace.n_zero_steps) == (0, 0)
+        assert [r.k for r in trace.records] == [0, 1]
+        assert trace.records[0].trace_h == 2.0
+        assert trace.records[1].action == "update" and trace.records[1].trace_h is None
+
     def test_nonfinite_start_gradient_fails_the_run(self):
         prob = Problem("nan-start", 1, lambda x: float(x[0] ** 2),
                        lambda x: np.array([math.nan]), np.array([1.0]), 0.0)
@@ -287,6 +310,47 @@ class TestRunConfig:
         a = minimize(quad2(), RunConfig(budget_iters=5, seed=3))
         b = minimize(quad2(), RunConfig(budget_iters=5, seed=3, h0=np.eye(2)))
         np.testing.assert_array_equal(a.final_record.x, b.final_record.x)
+
+    @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
+    def test_h0_must_be_exactly_symmetric(self, run):
+        h0 = np.array([[1.0, 0.25], [np.nextafter(0.25, 1.0), 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            run(quad2(), RunConfig(budget_iters=1, h0=h0))
+
+    def test_h0_left_untouched(self):
+        # the run updates its own copy of h0 in place
+        h0 = np.array([[2.0, 0.5], [0.5, 1.0]])
+        trace = minimize(quad2(), RunConfig(budget_iters=5, h0=h0))
+        assert trace.records[-1].trace_h != 3.0
+        np.testing.assert_array_equal(h0, [[2.0, 0.5], [0.5, 1.0]])
+
+
+class TestInPlaceUpdate:
+    @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
+    def test_update_allocates_no_matrix(self, run, monkeypatch):
+        # the driver's update writes into H and the run's scratch.  A call
+        # still allocates H y, the n x n bool of the finiteness check and
+        # numpy's fixed-size ufunc buffers (2 x 64 KB), but no n x n float
+        n = 256
+        allocated = []
+        update = optimizer.spbfgs_update
+
+        def measured(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = update(*args, **kwargs)
+            allocated.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+
+        monkeypatch.setattr(optimizer, "spbfgs_update", measured)
+        tracemalloc.start()
+        try:
+            trace = run(get_problem("srosenbr", n), RunConfig(budget_iters=10))
+        finally:
+            tracemalloc.stop()
+        assert not trace.failed
+        assert len(allocated) >= 5
+        assert max(allocated) < 8 * n * n // 2
 
 
 class TestFixedStepDescent:

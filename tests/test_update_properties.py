@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spbfgs.diagnostics import trace_bound_h
 from spbfgs.errors import SpbfgsError
 from spbfgs.updates import (
     CurvaturePair,
@@ -86,3 +87,29 @@ def test_positive_definite_iff_relaxed_curvature(problem, e):
     out = update(h, pair, beta)
     assume(out is not None)
     assert is_positive_definite(out) == spbfgs_curvature_ok(pair, beta)
+
+
+@PROPERTY
+@given(problems(), log10_beta)
+def test_value_identity(problem, e):
+    # y^T H+ y = w s.y + (1 - w) y^T H y with w = beta s.y / (1 + beta s.y)
+    h, pair = problem
+    beta = 10.0 ** e
+    assume(not -2.5 <= beta * pair.sty <= -0.5)  # w's pole and omega's
+    out = update(h, pair, beta)
+    assume(out is not None)
+    w = beta * pair.sty / (1.0 + beta * pair.sty)
+    expected = w * pair.sty + (1.0 - w) * float(pair.y @ h @ pair.y)
+    assert math.isclose(float(pair.y @ out @ pair.y), expected, rel_tol=1e-12)
+
+
+@PROPERTY
+@given(problems(), log10_beta)
+def test_trace_bound_on_h(problem, e):
+    h, pair = problem
+    scalars = compute_penalty_scalars(pair, 10.0 ** e)
+    assume(scalars.gamma >= 0.0 and scalars.omega >= 0.0)
+    out = spbfgs_update(h, pair, scalars)
+    # at tiny beta the update is below an ulp and the bound is met with
+    # equality, so allow for rounding
+    assert np.trace(out) <= trace_bound_h(h, pair, scalars) * (1.0 + 1e-12)

@@ -39,6 +39,21 @@ def positive_pair(rng, n):
             return CurvaturePair(s, y)
 
 
+def reference_update(h, s, y, gamma, omega):
+    """The kernel as an allocating expression with a final symmetrizing pass."""
+    hy = h @ y
+    yhy = float(y @ hy)
+    coef = gamma * (1.0 + omega * yhy)
+    sc = s[:, None]
+    out = h - omega * (sc * hy + hy[:, None] * s) + coef * (sc * s)
+    return 0.5 * (out + out.T)
+
+
+def scratch_pair(n):
+    # NaN-filled, so anything read before it is written shows in the result
+    return np.full((n, n), np.nan), np.full((n, n), np.nan)
+
+
 class TestCurvaturePair:
     def test_sty_cached(self):
         pair = CurvaturePair([1.0, 2.0], [3.0, -1.0])
@@ -247,6 +262,64 @@ class TestSpbfgsUpdate:
         with pytest.raises(NonFiniteError):
             with np.errstate(all="ignore"):
                 spbfgs_update(h, pair, sc)
+
+
+class TestInPlaceKernel:
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 256])
+    @pytest.mark.parametrize("beta", [1e-300, 1.0, 1e300, math.inf])
+    def test_bitwise_equal_to_reference(self, n, beta):
+        rng = np.random.default_rng(n)
+        h = random_spd(rng, n)
+        pair = positive_pair(rng, n)
+        sc = compute_penalty_scalars(pair, beta)
+        expected = reference_update(h, pair.s, pair.y, sc.gamma, sc.omega).tobytes()
+        h_before = h.tobytes()
+        assert spbfgs_update(h, pair, sc).tobytes() == expected
+        assert h.tobytes() == h_before  # the copying path leaves H alone
+        if math.isinf(beta):
+            assert bfgs_update(h, pair).tobytes() == expected
+        out = spbfgs_update(h, pair, sc, scratch_pair(n))
+        assert out is h
+        assert h.tobytes() == expected
+
+    def test_chained_in_place_updates_match_copies(self):
+        # reused scratch carries nothing from one update into the next
+        rng = np.random.default_rng(21)
+        n = 32
+        h = random_spd(rng, n)
+        copied = h.copy()
+        scratch = scratch_pair(n)
+        for beta in (0.5, 1e3, math.inf, 1.0, 7.0):
+            pair = positive_pair(rng, n)
+            sc = compute_penalty_scalars(pair, beta)
+            copied = spbfgs_update(copied, pair, sc)
+            spbfgs_update(h, pair, sc, scratch)
+        assert h.tobytes() == copied.tobytes()
+
+    def test_beta_zero_in_place_leaves_h(self):
+        h = random_spd(np.random.default_rng(22), 3)
+        before = h.tobytes()
+        pair = CurvaturePair([1.0, 0.0, 0.0], [-1.0, 2.0, 0.5])
+        out = spbfgs_update(h, pair, compute_penalty_scalars(pair, 0.0), scratch_pair(3))
+        assert out is h and h.tobytes() == before
+
+
+class TestSymmetryPrecondition:
+    @staticmethod
+    def nearly_symmetric():
+        h = np.array([[2.0, 0.5], [0.5, 1.0]])
+        h[1, 0] = np.nextafter(0.5, 1.0)
+        return h
+
+    def test_copying_spbfgs_update_rejects_asymmetric_h(self):
+        pair = CurvaturePair([1.0, 0.0], [1.0, 1.0])
+        for beta in (0.0, 1.0, math.inf):
+            with pytest.raises(DegenerateInputError):
+                spbfgs_update(self.nearly_symmetric(), pair, compute_penalty_scalars(pair, beta))
+
+    def test_bfgs_update_rejects_asymmetric_h(self):
+        with pytest.raises(DegenerateInputError):
+            bfgs_update(self.nearly_symmetric(), CurvaturePair([1.0, 0.0], [1.0, 1.0]))
 
 
 class TestInverseUpdate:
