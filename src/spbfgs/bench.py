@@ -164,8 +164,8 @@ class ExperimentSpec:
             raise ValueError(f"noise_mode must be absolute or relative, got {self.noise_mode!r}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.budget_evals is None and self.budget_iters is None:
-            raise ValueError("set budget_evals, budget_iters, or both")
+        # RunConfig owns the budget rule; applied here, it fails before any run
+        RunConfig(budget_evals=self.budget_evals, budget_iters=self.budget_iters)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 

@@ -5,21 +5,36 @@
     spbfgs-bench list-problems            built-in problem table
 
 Exit codes: 0 success, 1 failed runs or failed checks, 2 bad usage or
-configuration.  For `run`, the environment variables SPBFGS_BENCH_OUT_DIR
-and SPBFGS_BENCH_WORKERS override [experiment] out_dir and workers; the
-flags override both.
+configuration.  For `run`, each flag in FLAGS and each environment variable
+in VARIABLES sets one config key, parsed and checked exactly as if it were
+written in the file.  The file comes first, then the variables, then the
+flags; the later source wins.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .config import load_experiment
 from .errors import ConfigError
 from .problems import get_problem, list_problems
 from .verify import run_all
+
+# flag -> the [section] key it sets, and its argparse options
+FLAGS = {
+    "--seed": ("experiment", "master_seed", {"type": int}),
+    "--out-dir": ("experiment", "out_dir", {}),
+    "--replicates": ("experiment", "replicates", {"type": int}),
+    "--budget-evals": ("budget", "evals", {"type": int}),
+    "--budget-iters": ("budget", "iters", {"type": int}),
+    "--trace": ("experiment", "record_traces", {"action": "store_const", "const": "true"}),
+}
+# environment variable -> the [section] key it sets
+VARIABLES = {
+    "SPBFGS_BENCH_OUT_DIR": ("experiment", "out_dir"),
+    "SPBFGS_BENCH_WORKERS": ("experiment", "workers"),
+}
 
 
 def _build_parser():
@@ -32,14 +47,11 @@ def _build_parser():
 
     run_p = sub.add_parser("run", help="run the experiment described by a config file")
     run_p.add_argument("config", help="path to a [section] key=value config file")
-    run_p.add_argument("--seed", type=int, default=None, help="override [experiment] master_seed")
-    run_p.add_argument("--out-dir", default=None, help="override [experiment] out_dir")
-    run_p.add_argument("--replicates", type=int, default=None,
-                       help="override [experiment] replicates")
-    run_p.add_argument("--budget-evals", type=int, default=None, help="override [budget] evals")
-    run_p.add_argument("--budget-iters", type=int, default=None, help="override [budget] iters")
-    run_p.add_argument("--trace", action="store_true",
-                       help="also write long-format per-iteration traces.csv")
+    for flag, (section, key, options) in FLAGS.items():
+        metavar = key.upper()
+        run_p.add_argument(flag, dest=flag, metavar=metavar,
+                           help=f"set [{section}] {key} = {options.get('const', metavar)}",
+                           **options)
 
     sub.add_parser("verify", help="run the seeded self-checks and report one line each")
     sub.add_parser("list-problems", help="list built-in problems")
@@ -47,32 +59,14 @@ def _build_parser():
 
 
 def _cmd_run(args):
+    overrides = [(name, section, key, os.environ[name])
+                 for name, (section, key) in VARIABLES.items() if name in os.environ]
+    overrides += [(flag, section, key, getattr(args, flag))
+                  for flag, (section, key, _) in FLAGS.items()
+                  if getattr(args, flag) is not None]
     try:
-        spec = load_experiment(args.config)
-        overrides = {}
-        if "SPBFGS_BENCH_OUT_DIR" in os.environ:
-            overrides["out_dir"] = os.environ["SPBFGS_BENCH_OUT_DIR"]
-        if "SPBFGS_BENCH_WORKERS" in os.environ:
-            raw = os.environ["SPBFGS_BENCH_WORKERS"]
-            try:
-                overrides["workers"] = int(raw)
-            except ValueError:
-                raise ConfigError(f"SPBFGS_BENCH_WORKERS: not an integer: {raw!r}") from None
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.out_dir is not None:
-            overrides["out_dir"] = args.out_dir
-        if args.replicates is not None:
-            overrides["replicates"] = args.replicates
-        if args.budget_evals is not None:
-            overrides["budget_evals"] = args.budget_evals
-        if args.budget_iters is not None:
-            overrides["budget_iters"] = args.budget_iters
-        if args.trace:
-            overrides["record_traces"] = True
-        if overrides:
-            spec = replace(spec, **overrides)
-    except (ConfigError, ValueError) as exc:
+        spec = load_experiment(args.config, overrides)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,20 @@
 """Run-configuration files: flat key = value entries under [section] headers.
 
-Parsed with configparser; semantic validation reports the offending
-[section] key.  Unknown sections or keys are errors, not warnings, so a
-typo cannot silently fall back to a default.  See the README for the full
-key reference and a worked example.
+One table, KEYS, maps each [section] key to the dataclass field it sets
+(of ExperimentSpec, LineSearchConfig or PenaltyPolicy) and its parser.
+Types and defaults are the fields' own: a key is parsed by its field's
+annotated type unless the table names a parser, and a key left out keeps
+its field's default.  Overrides from outside the file (the CLI's flags and
+SPBFGS_BENCH_* variables) set keys of the same table, so every value goes
+through one parser and one validation path.  Errors name the offending
+[section] key, and the override that supplied it.  Unknown sections or
+keys are errors, not warnings, so a typo cannot silently fall back to a
+default.  See the README for the full key reference and a worked example.
 """
 
 import configparser
 from dataclasses import fields, replace
+from typing import Optional
 
 from .bench import METHODS, ExperimentSpec, ProblemRef
 from .errors import ConfigError
@@ -16,44 +23,30 @@ from .noise import NoiseSpec
 from .policy import PenaltyPolicy
 from .problems import list_problems
 
-# [policy] keys are PenaltyPolicy's fields; the str ones are taken verbatim
-_POLICY_TYPES = {f.name: f.type for f in fields(PenaltyPolicy)}
-
-_KNOWN_KEYS = {
-    "experiment": {"problems", "methods", "replicates", "master_seed", "out_dir",
-                   "record_traces", "workers"},
-    "noise": {"mode", "cells"},
-    "budget": {"evals", "iters"},
-    "linesearch": {"alpha0", "tau", "c1", "eps_armijo", "max_backtracks"},
-    "policy": set(_POLICY_TYPES),
-}
+# Parsers take the stripped raw value and raise ValueError with a message
+# that the loader prefixes with the [section] key.
 
 
-def _fail(section, key, message):
-    raise ConfigError(f"[{section}] {key}: {message}")
+def _converter(convert, expected):
+    def parse(raw):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
+    return parse
 
 
-def _parse_float(section, key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        _fail(section, key, f"expected a number, got {raw!r}")
+_parse_float = _converter(float, "a number")
+_parse_int = _converter(int, "an integer")
 
 
-def _parse_int(section, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(section, key, f"expected an integer, got {raw!r}")
-
-
-def _parse_bool(section, key, raw):
-    lowered = raw.strip().lower()
+def _parse_bool(raw):
+    lowered = raw.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    _fail(section, key, f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_problems(raw):
@@ -65,13 +58,25 @@ def _parse_problems(raw):
         name, _, size = item.partition(":")
         name = name.strip()
         if name not in list_problems():
-            _fail("experiment", "problems",
-                  f"unknown problem {name!r}; known: {', '.join(list_problems())}")
-        n = _parse_int("experiment", "problems", size.strip()) if size else None
-        refs.append(ProblemRef(name, n))
+            raise ValueError(f"unknown problem {name!r}; known: {', '.join(list_problems())}")
+        refs.append(ProblemRef(name, _parse_int(size.strip()) if size else None))
     if not refs:
-        _fail("experiment", "problems", "at least one problem is required")
+        raise ValueError("at least one problem is required")
     return tuple(refs)
+
+
+def _parse_methods(raw):
+    methods = tuple(m.strip() for m in raw.split(",") if m.strip())
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}, expected subset of {METHODS}")
+    return methods
+
+
+def _parse_mode(raw):
+    if raw not in ("absolute", "relative"):
+        raise ValueError(f"expected absolute or relative, got {raw!r}")
+    return raw
 
 
 def _parse_cells(raw):
@@ -82,18 +87,57 @@ def _parse_cells(raw):
             continue
         parts = [p.strip() for p in item.split(",")]
         if len(parts) != 2:
-            _fail("noise", "cells", f"expected 'eps_f,eps_g' pairs separated by ';', got {item!r}")
-        try:
-            cells.append(NoiseSpec(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            _fail("noise", "cells", str(exc))
+            raise ValueError(f"expected 'eps_f,eps_g' pairs separated by ';', got {item!r}")
+        cells.append(NoiseSpec(float(parts[0]), float(parts[1])))
     if not cells:
-        _fail("noise", "cells", "at least one noise cell is required")
+        raise ValueError("at least one noise cell is required")
     return tuple(cells)
 
 
-def load_experiment(path):
-    """Parse and validate a configuration file into an ExperimentSpec."""
+def _parse_eps_armijo(raw):
+    """None for auto (the cell's resolved eps_f), else the number."""
+    return None if raw.lower() == "auto" else _parse_float(raw)
+
+
+_PARSE_BY_TYPE = {int: _parse_int, Optional[int]: _parse_int, float: _parse_float,
+                  bool: _parse_bool, str: str}
+
+
+def _section(owner, keys=None, **parsers):
+    """key -> (owner, field name, parser) for a section setting fields of owner.
+
+    keys maps each key to its field's name, by default every field under
+    its own name; a key without a parser of its own in parsers is parsed
+    by its field's annotated type.
+    """
+    types = {f.name: f.type for f in fields(owner)}
+    keys = keys or {name: name for name in types}
+    return {key: (owner, name, parsers.get(key) or _PARSE_BY_TYPE[types[name]])
+            for key, name in keys.items()}
+
+
+# [section] key -> (dataclass, field name, parser)
+KEYS = {
+    "experiment": _section(
+        ExperimentSpec,
+        {name: name for name in ("problems", "methods", "replicates", "master_seed",
+                                 "out_dir", "record_traces", "workers")},
+        problems=_parse_problems, methods=_parse_methods),
+    "noise": _section(ExperimentSpec, {"mode": "noise_mode", "cells": "cells"},
+                      mode=_parse_mode, cells=_parse_cells),
+    "budget": _section(ExperimentSpec, {"evals": "budget_evals", "iters": "budget_iters"}),
+    "linesearch": _section(LineSearchConfig, eps_armijo=_parse_eps_armijo),
+    "policy": _section(PenaltyPolicy),
+}
+
+
+def load_experiment(path, overrides=()):
+    """Parse and validate a configuration file into an ExperimentSpec.
+
+    overrides holds (source, section, key, raw) entries, applied after the
+    file in order, so a later entry wins; source (a flag or variable name)
+    is named in the error message of a value it supplied.
+    """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
@@ -102,91 +146,45 @@ def load_experiment(path):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    sources = {}
+    for source, section, key, raw in overrides:
+        parser.read_dict({section: {key: raw}}, source)
+        sources[section, key] = source
 
+    given = {ExperimentSpec: {}, LineSearchConfig: {}, PenaltyPolicy: {}}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown section [{section}]; known: "
-                              f"{', '.join(sorted(_KNOWN_KEYS))}")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                _fail(section, key, f"unknown key; known: {', '.join(sorted(_KNOWN_KEYS[section]))}")
+        if section not in KEYS:
+            raise ConfigError(f"unknown section [{section}]; known: {', '.join(sorted(KEYS))}")
+        for key, raw in parser.items(section):
+            where = f"[{section}] {key}"
+            if (section, key) in sources:
+                where += f" (from {sources[section, key]})"
+            if key not in KEYS[section]:
+                raise ConfigError(f"{where}: unknown key; known: "
+                                  f"{', '.join(sorted(KEYS[section]))}")
+            owner, name, parse = KEYS[section][key]
+            try:
+                given[owner][name] = parse(raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
 
-    def get(section, key, default=None):
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key].strip()
-        return default
-
-    if get("experiment", "problems") is None:
+    spec = given[ExperimentSpec]
+    if "problems" not in spec:
         raise ConfigError("[experiment] problems is required")
-    problems = _parse_problems(get("experiment", "problems"))
-
-    methods_raw = get("experiment", "methods", "spbfgs, bfgs")
-    methods = tuple(m.strip() for m in methods_raw.split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            _fail("experiment", "methods", f"unknown method {m!r}, expected subset of {METHODS}")
-
-    replicates = _parse_int("experiment", "replicates", get("experiment", "replicates", "30"))
-    master_seed = _parse_int("experiment", "master_seed", get("experiment", "master_seed", "0"))
-    out_dir = get("experiment", "out_dir", "results")
-    record_traces = _parse_bool("experiment", "record_traces",
-                                get("experiment", "record_traces", "false"))
-    workers = _parse_int("experiment", "workers", get("experiment", "workers", "1"))
-
-    mode = get("noise", "mode", "absolute")
-    if mode not in ("absolute", "relative"):
-        _fail("noise", "mode", f"expected absolute or relative, got {mode!r}")
-    cells = _parse_cells(get("noise", "cells", "0, 0"))
-
-    evals_raw = get("budget", "evals")
-    iters_raw = get("budget", "iters")
-    budget_evals = _parse_int("budget", "evals", evals_raw) if evals_raw is not None else None
-    budget_iters = _parse_int("budget", "iters", iters_raw) if iters_raw is not None else None
-    if budget_evals is None and budget_iters is None:
-        budget_evals = 2000
-
-    eps_armijo_raw = get("linesearch", "eps_armijo", "auto")
-    eps_armijo_auto = eps_armijo_raw.lower() == "auto"
+    if "budget_iters" in spec:  # [budget] iters alone sets no evaluation budget
+        spec.setdefault("budget_evals", None)
+    linesearch = given[LineSearchConfig]
+    if "eps_armijo" in linesearch:
+        spec["eps_armijo_auto"] = linesearch["eps_armijo"] is None
+        if spec["eps_armijo_auto"]:
+            del linesearch["eps_armijo"]
+    # linesearch and policy keys left out keep ExperimentSpec's defaults
+    for field, values in (("linesearch", linesearch), ("policy", given[PenaltyPolicy])):
+        try:
+            spec[field] = replace(getattr(ExperimentSpec, field), **values)
+        except ValueError as exc:
+            raise ConfigError(f"[{field}] {exc}") from exc
     try:
-        linesearch = LineSearchConfig(
-            alpha0=_parse_float("linesearch", "alpha0", get("linesearch", "alpha0", "1.0")),
-            tau=_parse_float("linesearch", "tau", get("linesearch", "tau", "0.5")),
-            c1=_parse_float("linesearch", "c1", get("linesearch", "c1", "1e-4")),
-            eps_armijo=0.0 if eps_armijo_auto
-            else _parse_float("linesearch", "eps_armijo", eps_armijo_raw),
-            max_backtracks=_parse_int("linesearch", "max_backtracks",
-                                      get("linesearch", "max_backtracks", "45")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[linesearch] {exc}") from exc
-
-    policy_kwargs = {}
-    for key, kind in _POLICY_TYPES.items():
-        raw = get("policy", key)
-        if raw is not None:
-            policy_kwargs[key] = raw if kind is str else _parse_float("policy", key, raw)
-    try:
-        # keys left out keep the bench defaults (ExperimentSpec's default policy)
-        policy = replace(ExperimentSpec.policy, **policy_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[policy] {exc}") from exc
-
-    try:
-        return ExperimentSpec(
-            problems=problems,
-            methods=methods,
-            cells=cells,
-            noise_mode=mode,
-            replicates=replicates,
-            master_seed=master_seed,
-            budget_evals=budget_evals,
-            budget_iters=budget_iters,
-            linesearch=linesearch,
-            eps_armijo_auto=eps_armijo_auto,
-            policy=policy,
-            out_dir=out_dir,
-            record_traces=record_traces,
-            workers=workers,
-        )
+        return ExperimentSpec(**spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

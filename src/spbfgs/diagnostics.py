@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import CurvatureViolationError, DegenerateInputError, MissingMetadataError
 
-_PIVOT_TOL = 1e-12
-
 
 def trace_bound_h(h, pair, scalars):
     """Upper bound on trace(H+) available before computing the update:

@@ -68,15 +68,16 @@ class PenaltyPolicy:
             raise ValueError(f"unknown recovery {self.recovery!r}, expected one of {_RECOVERIES}")
         if self.skip_rule not in _SKIP_RULES:
             raise ValueError(f"unknown skip rule {self.skip_rule!r}, expected one of {_SKIP_RULES}")
+        # every numeric check is written so that NaN fails it
         if self.kind == "scaled" and not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"scaled policy needs finite scale > 0, got {self.scale}")
         if self.kind == "constant" and (math.isnan(self.beta) or self.beta < 0.0):
             raise ValueError(f"constant policy needs beta in [0, +inf], got {self.beta}")
-        if self.step_scale < 0.0 or self.offset < 0.0 or self.threshold < 0.0:
+        if not (self.step_scale >= 0.0 and self.offset >= 0.0 and self.threshold >= 0.0):
             raise ValueError("step_scale, offset and threshold must be nonnegative")
-        if self.recovery == "shrink" and self.shrink_factor <= 1.0:
+        if self.recovery == "shrink" and not self.shrink_factor > 1.0:
             raise ValueError(f"shrink_factor must exceed 1, got {self.shrink_factor}")
-        if self.skip_rule == "step-norm" and self.skip_eps <= 0.0:
+        if self.skip_rule == "step-norm" and not self.skip_eps > 0.0:
             raise ValueError("step-norm rule needs skip_eps > 0")
         if self.skip_rule == "cosine" and not 0.0 < self.skip_zeta < 1.0:
             raise ValueError("cosine rule needs skip_zeta in (0, 1)")

@@ -195,6 +195,19 @@ def small_spec(tmp_path, **overrides):
     return ExperimentSpec(**base)
 
 
+def run_cli_spec(monkeypatch, argv, env=None):
+    """The spec that `spbfgs-bench` argv hands to run_experiment, under env."""
+    for name in ("SPBFGS_BENCH_OUT_DIR", "SPBFGS_BENCH_WORKERS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in (env or {}).items():
+        monkeypatch.setenv(name, value)
+    specs = []
+    monkeypatch.setattr("spbfgs.bench.run_experiment",
+                        lambda spec: specs.append(spec) or spbfgs.bench.ExperimentResult())
+    assert cli_main(argv) == 0
+    return specs[0]
+
+
 class TestRunOne:
     def test_noiseless_run(self, tmp_path):
         spec = small_spec(tmp_path)
@@ -396,6 +409,11 @@ class TestConfigFile:
         assert spec.linesearch.tau == 0.5
         assert spec.eps_armijo_auto
 
+    def test_keys_left_out_keep_the_spec_defaults(self, tmp_path):
+        path = tmp_path / "min.ini"
+        path.write_text("[experiment]\nproblems = rosenbrock\n")
+        assert load_experiment(path) == ExperimentSpec(problems=(ProblemRef("rosenbrock"),))
+
     def test_explicit_armijo_slack(self, tmp_path):
         path = tmp_path / "e.ini"
         path.write_text("[experiment]\nproblems = cube\n\n"
@@ -519,6 +537,56 @@ class TestCli:
         for rep in (0, 1):
             assert (f"failed: rosenbrock spbfgs eps_f=0.0 eps_g=0.0 rep {rep}: "
                     "non-finite state at iteration") in err
+
+    @pytest.mark.parametrize("argv,env,section,line", [
+        (["--seed", "3"], {}, "experiment", "master_seed = 3"),
+        (["--out-dir", "elsewhere"], {}, "experiment", "out_dir = elsewhere"),
+        (["--replicates", "2"], {}, "experiment", "replicates = 2"),
+        (["--budget-evals", "50"], {}, "budget", "evals = 50"),
+        (["--budget-iters", "7"], {}, "budget", "iters = 7"),
+        (["--trace"], {}, "experiment", "record_traces = true"),
+        ([], {"SPBFGS_BENCH_OUT_DIR": "elsewhere"}, "experiment", "out_dir = elsewhere"),
+        ([], {"SPBFGS_BENCH_WORKERS": "2"}, "experiment", "workers = 2"),
+    ], ids=["--seed", "--out-dir", "--replicates", "--budget-evals", "--budget-iters",
+            "--trace", "SPBFGS_BENCH_OUT_DIR", "SPBFGS_BENCH_WORKERS"])
+    def test_override_is_its_config_key(self, tmp_path, monkeypatch, argv, env, section, line):
+        base = "[experiment]\nproblems = cube\n"
+        keyed = base + (line if section == "experiment" else f"\n[{section}]\n{line}") + "\n"
+        (tmp_path / "base.ini").write_text(base)
+        (tmp_path / "keyed.ini").write_text(keyed)
+        by_file = run_cli_spec(monkeypatch, ["run", str(tmp_path / "keyed.ini")])
+        by_override = run_cli_spec(monkeypatch, ["run", str(tmp_path / "base.ini"), *argv], env)
+        assert by_override == by_file != ExperimentSpec(problems=(ProblemRef("cube"),))
+
+    def test_budget_iters_flag_sets_iters_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nproblems = cube\n")
+        spec = run_cli_spec(monkeypatch, ["run", str(path), "--budget-iters", "7"])
+        assert (spec.budget_evals, spec.budget_iters) == (None, 7)
+        path.write_text("[experiment]\nproblems = cube\n\n[budget]\nevals = 100\n")
+        spec = run_cli_spec(monkeypatch, ["run", str(path), "--budget-iters", "7"])
+        assert (spec.budget_evals, spec.budget_iters) == (100, 7)
+
+    @pytest.mark.parametrize("budget,argv", [
+        ("evals = 0", []),
+        ("iters = -1", []),
+        ("", ["--budget-evals", "0"]),
+        ("", ["--budget-iters", "-1"]),
+    ], ids=["evals=0", "iters=-1", "--budget-evals=0", "--budget-iters=-1"])
+    def test_bad_budget_exits_2_before_any_run(self, tmp_path, capsys, budget, argv):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[experiment]\nproblems = cube\nout_dir = {tmp_path / 'out'}\n\n"
+                        f"[budget]\n{budget}\n")
+        assert cli_main(["run", str(path), *argv]) == 2
+        assert "error: budget_" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_variable_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SPBFGS_BENCH_WORKERS", "abc")
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nproblems = cube\n")
+        assert cli_main(["run", str(path)]) == 2
+        assert "SPBFGS_BENCH_WORKERS" in capsys.readouterr().err
 
     def test_run_missing_config_exits_2(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.ini")]) == 2

@@ -136,3 +136,14 @@ class TestValidation:
     def test_cosine_needs_zeta_in_unit_interval(self):
         with pytest.raises(ValueError):
             PenaltyPolicy(skip_rule="cosine", skip_zeta=1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(step_scale=math.nan),
+        dict(offset=math.nan),
+        dict(threshold=math.nan),
+        dict(recovery="shrink", shrink_factor=math.nan),
+        dict(skip_rule="step-norm", skip_eps=math.nan),
+    ], ids=["step_scale", "offset", "threshold", "shrink_factor", "skip_eps"])
+    def test_nan_is_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            PenaltyPolicy(kind="linear", **kwargs)
