@@ -150,9 +150,10 @@ class ExperimentSpec:
         )
         if len(self.problems) == 0:
             raise ValueError("experiment needs at least one problem")
+        instances = []
         for ref in self.problems:
             try:
-                ref.instantiate()  # sizes are checked here, not mid-sweep
+                instances.append(ref.instantiate())  # sizes are checked here, not mid-sweep
             except KeyError as exc:
                 raise ValueError(exc.args[0]) from exc
         for m in self.methods:
@@ -168,6 +169,16 @@ class ExperimentSpec:
         RunConfig(budget_evals=self.budget_evals, budget_iters=self.budget_iters)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # each run resolves its cell and the policy; resolving every pair here
+        # too makes an overflowing noise level or scale / eps_g a config
+        # error before any run, not a failure mid-sweep
+        for problem in instances:
+            for cell in self.cells:
+                try:
+                    self.policy.resolve(resolve_cell(problem, cell, self.noise_mode).eps_g)
+                except ValueError as exc:
+                    raise ValueError(f"{problem.name}, cell {cell.eps_f!r}, {cell.eps_g!r}: "
+                                     f"{exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,10 @@ class PenaltyPolicy:
             raise ValueError(f"constant policy needs beta in [0, +inf], got {self.beta}")
         if not (self.step_scale >= 0.0 and self.offset >= 0.0 and self.threshold >= 0.0):
             raise ValueError("step_scale, offset and threshold must be nonnegative")
+        # beta would be nan: inf * ||s|| at a zero step, inf - inf at a long one
+        if not (math.isfinite(self.step_scale) and math.isfinite(self.threshold)):
+            raise ValueError("step_scale and threshold must be finite, got "
+                             f"{self.step_scale} and {self.threshold}")
         if self.recovery == "shrink" and not self.shrink_factor > 1.0:
             raise ValueError(f"shrink_factor must exceed 1, got {self.shrink_factor}")
         if self.skip_rule == "step-norm" and not self.skip_eps > 0.0:
@@ -87,13 +91,18 @@ class PenaltyPolicy:
 
         A scaled policy becomes linear with step_scale = scale / eps_g, or
         constant-infinity when eps_g = 0, where an infinite penalty is the
-        right limit; every other kind is returned unchanged.
+        right limit; every other kind is returned unchanged.  A quotient
+        that overflows (eps_g below scale / max_float) raises ValueError.
         """
         if self.kind != "scaled":
             return self
         if eps_g == 0.0:
             return replace(self, kind="constant-infinity")
-        return replace(self, kind="linear", step_scale=self.scale / eps_g)
+        step_scale = self.scale / float(eps_g)
+        if not math.isfinite(step_scale):
+            raise ValueError(f"scaled policy: scale / eps_g = {self.scale!r} / {eps_g!r} "
+                             "overflows")
+        return replace(self, kind="linear", step_scale=step_scale)
 
 
 def propose_beta(policy, s):

@@ -21,16 +21,23 @@ a strictly weaker requirement than the BFGS curvature condition s.y > 0,
 which is what makes the update usable when the measured gradients carry
 bounded noise.
 
-The expanded form actually computed is algebraically identical:
+The form actually computed is algebraically identical.  It takes the
+expanded form
 
-    H+ = H - omega (s (Hy)^T + (Hy) s^T) + gamma (1 + omega y.Hy) s s^T.
+    H+ = H - omega (s (Hy)^T + (Hy) s^T) + gamma (1 + omega y.Hy) s s^T
+
+and folds its vector terms into one vector u:
+
+    H+ = H + s u^T + u s^T,    u = (gamma (1 + omega y.Hy) / 2) s - omega Hy.
 
 One kernel computes it in place, into H, with two caller-owned n x n
-scratch arrays, so a call allocates nothing of size n x n.  The driver
-passes its own H and scratch allocated once per run; the public functions
-called without scratch copy H and return the copy, through the same
-kernel.  H must be exactly symmetric, and then so is the result: entries
-(i, j) and (j, i) come out of the same IEEE operations.  Symmetry is a
+scratch arrays, so a call allocates nothing of size n x n: two outer
+products, one sum and one add into H.  The driver passes its own H and
+scratch allocated once per run; the public functions called without
+scratch copy H and return the copy, through the same kernel.  H must be
+exactly symmetric, and then so is the result: entry (i, j) of
+s u^T + u s^T is s_i u_j + u_i s_j and entry (j, i) is s_j u_i + u_j s_i,
+the same two IEEE products added in the other order.  Symmetry is a
 precondition checked where H enters (the driver's h0, the copying public
 path), not a pass over every result.
 
@@ -53,27 +60,24 @@ from .errors import (
 
 
 def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
-    """Overwrite h with H - omega*(s(Hy)^T + (Hy)s^T) + gamma*(1 + omega*y.Hy) ss^T.
+    """Overwrite h with H + s u^T + u s^T, u = (gamma*(1 + omega*y.Hy)/2) s - omega Hy.
 
+    That is H - omega*(s(Hy)^T + (Hy)s^T) + gamma*(1 + omega*y.Hy) ss^T.
     a and b are n x n float scratch arrays, distinct from h and from each
     other; both are clobbered.  For symmetric h the result is exactly
-    symmetric, with no symmetrizing pass: s_i (Hy)_j + (Hy)_i s_j and
-    s_i s_j are the same IEEE operations as their transposes, commuted.
+    symmetric, with no symmetrizing pass: s_i u_j + u_i s_j and
+    s_j u_i + u_j s_i are the same two IEEE products, added in the other order.
     """
     hy = h @ y
     yhy = float(y @ hy)
     coef = gamma * (1.0 + omega * yhy)
-    # broadcast products are np.outer(a, b) without its wrapper: same ufunc,
-    # same operands; a transposed view instead of (Hy)s^T is slower at large n
-    sc = s[:, None]
-    np.multiply(sc, hy, out=a)
-    np.multiply(hy[:, None], s, out=b)
+    u = (0.5 * coef) * s - omega * hy
+    # broadcast products are np.outer without its wrapper: same ufunc, same
+    # operands; adding a's transposed view instead of b is slower at large n
+    np.multiply(s[:, None], u, out=a)
+    np.multiply(u[:, None], s, out=b)
     a += b
-    a *= omega
-    h -= a
-    np.multiply(sc, s, out=b)
-    b *= coef
-    h += b
+    h += a
 
 
 def symmetrize(a):

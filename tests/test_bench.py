@@ -151,6 +151,16 @@ class TestScaledPolicy:
         with pytest.raises(ValueError):
             PenaltyPolicy(kind="bogus")
 
+    def test_overflowing_step_scale_is_rejected(self):
+        scaled = PenaltyPolicy(kind="scaled", scale=1e8)
+        assert scaled.resolve(1e-300).step_scale == 1e308
+        with pytest.raises(ValueError):
+            scaled.resolve(1e-320)
+        with pytest.raises(ValueError):
+            run_config(scaled, 1e-320)
+        with pytest.raises(ValueError):
+            ExperimentSpec(problems=(ProblemRef("cube"),), cells=((0.0, 1e-320),))
+
     def test_unresolved_scaled_proposes_nothing(self):
         with pytest.raises(ValueError):
             propose_beta(PenaltyPolicy(kind="scaled", scale=1.0), np.ones(2))
@@ -580,6 +590,27 @@ class TestCli:
         assert cli_main(["run", str(path), *argv]) == 2
         assert "error: budget_" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body,needle", [
+        ("[policy]\nkind = linear\nstep_scale = inf\n", "must be finite"),
+        ("[policy]\nkind = thresholded\nstep_scale = 1e308\nthreshold = inf\n",
+         "must be finite"),
+        ("[noise]\ncells = 0.0, 1e-320\n", "cube, cell 0.0, 1e-320: scaled policy"),
+        ("[noise]\nmode = relative\ncells = 0.0, 1e-320\n",
+         "cube, cell 0.0, 1e-320: scaled policy"),
+        ("[noise]\nmode = relative\ncells = 1e308, 0\n",
+         "cube, cell 1e+308, 0.0: eps_f must be finite"),
+    ], ids=["linear-step_scale=inf", "thresholded-threshold=inf", "scaled-absolute-overflow",
+            "scaled-relative-overflow", "relative-eps_f-overflow"])
+    def test_bad_policy_or_cell_exits_2_before_any_run(self, tmp_path, capsys, body, needle):
+        # each crashed mid-sweep: a nan beta (inf * 0 at a zero step, or
+        # inf - inf), or a relative cell resolving to an infinite noise level
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[experiment]\nproblems = cube\nout_dir = {tmp_path / 'out'}\n\n"
+                        f"[budget]\nevals = 300\n\n{body}")
+        assert cli_main(["run", str(path)]) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_bad_variable_is_named(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPBFGS_BENCH_WORKERS", "abc")

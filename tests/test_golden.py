@@ -7,7 +7,8 @@ included.  The bytes are pinned to the numpy version in numpy_version.txt
 (the float results of the linear algebra may differ between versions), so
 the test skips under any other version.  A refactor that keeps the
 numerics must leave every file byte-equal; an intended numerical change
-regenerates the .csv files and says why.
+regenerates the expected files with tests/golden/regenerate.py, which runs
+each config through this same path, and says why.
 """
 
 from dataclasses import replace

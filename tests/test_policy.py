@@ -125,6 +125,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             PenaltyPolicy(kind="linear", step_scale=-1.0)
 
+    def test_infinite_step_scale_or_threshold(self):
+        # beta would be nan: inf * 0 at a zero step, or inf - inf once
+        # step_scale * ||s|| overflows
+        with pytest.raises(ValueError):
+            PenaltyPolicy(kind="linear", step_scale=math.inf)
+        with pytest.raises(ValueError):
+            PenaltyPolicy(kind="thresholded", step_scale=1e308, threshold=math.inf)
+
     def test_shrink_factor_must_exceed_one(self):
         with pytest.raises(ValueError):
             PenaltyPolicy(recovery="shrink", shrink_factor=1.0)

@@ -39,14 +39,37 @@ def positive_pair(rng, n):
             return CurvaturePair(s, y)
 
 
-def reference_update(h, s, y, gamma, omega):
-    """The kernel as an allocating expression with a final symmetrizing pass."""
+def kernel_terms(h, s, y, gamma, omega):
+    """Hy and coef = gamma (1 + omega y.Hy), computed as the kernel computes them."""
     hy = h @ y
-    yhy = float(y @ hy)
-    coef = gamma * (1.0 + omega * yhy)
-    sc = s[:, None]
-    out = h - omega * (sc * hy + hy[:, None] * s) + coef * (sc * s)
+    return hy, gamma * (1.0 + omega * float(y @ hy))
+
+
+def reference_update(h, s, y, gamma, omega):
+    """The kernel as an allocating expression: H + (s u^T + u s^T)."""
+    hy, coef = kernel_terms(h, s, y, gamma, omega)
+    u = (0.5 * coef) * s - omega * hy
+    return h + (np.outer(s, u) + np.outer(u, s))
+
+
+def expanded_update(h, s, y, gamma, omega):
+    """The expanded form H - omega (s (Hy)^T + (Hy) s^T) + coef s s^T, symmetrized.
+
+    The same update with different roundings: an oracle for the kernel to
+    within a few ulps of its terms, not bitwise.
+    """
+    hy, coef = kernel_terms(h, s, y, gamma, omega)
+    out = h - omega * (np.outer(s, hy) + np.outer(hy, s)) + coef * np.outer(s, s)
     return 0.5 * (out + out.T)
+
+
+def expanded_bound(h, s, y, gamma, omega):
+    """Entrywise bound on |kernel - expanded_update|: 8 eps times the terms' magnitudes."""
+    hy, coef = kernel_terms(h, s, y, gamma, omega)
+    abs_s, abs_hy = np.abs(s), np.abs(hy)
+    terms = (np.abs(h) + abs(omega) * (np.outer(abs_s, abs_hy) + np.outer(abs_hy, abs_s))
+             + abs(coef) * np.outer(abs_s, abs_s))
+    return 8.0 * np.finfo(h.dtype).eps * terms
 
 
 def scratch_pair(n):
@@ -255,13 +278,21 @@ class TestSpbfgsUpdate:
                                        rtol=1e-10, atol=0)
 
     def test_overflow_raises(self):
-        h = np.full((2, 2), 1e308)
-        np.fill_diagonal(h, 1e308)
-        pair = CurvaturePair([1.0, 0.0], [1.0, 0.0])
+        # the exact update's (0, 0) entry is 1 - 2 + 1e600: it overflows
+        pair = CurvaturePair([1e300, 0.0], [1e-300, 0.0])
         sc = compute_penalty_scalars(pair, math.inf)
         with pytest.raises(NonFiniteError):
             with np.errstate(all="ignore"):
-                spbfgs_update(h, pair, sc)
+                spbfgs_update(np.eye(2), pair, sc)
+
+    def test_finite_update_of_huge_h_is_returned_exactly(self):
+        # s (Hy)^T + (Hy) s^T overflows here, but the update itself does not
+        h = np.full((2, 2), 1e308)
+        pair = CurvaturePair([1.0, 0.0], [1.0, 0.0])
+        sc = compute_penalty_scalars(pair, math.inf)
+        out = spbfgs_update(h, pair, sc)
+        assert out.tobytes() == np.array([[0.0, 0.0], [0.0, 1e308]]).tobytes()
+        assert bfgs_update(h, pair).tobytes() == out.tobytes()
 
 
 class TestInPlaceKernel:
@@ -281,6 +312,17 @@ class TestInPlaceKernel:
         out = spbfgs_update(h, pair, sc, scratch_pair(n))
         assert out is h
         assert h.tobytes() == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 256])
+    @pytest.mark.parametrize("beta", [1e-300, 1.0, 1e300, math.inf])
+    def test_close_to_expanded_form(self, n, beta):
+        rng = np.random.default_rng(n)
+        h = random_spd(rng, n)
+        pair = positive_pair(rng, n)
+        sc = compute_penalty_scalars(pair, beta)
+        args = (h, pair.s, pair.y, sc.gamma, sc.omega)
+        gap = np.abs(spbfgs_update(h, pair, sc) - expanded_update(*args))
+        assert (gap <= expanded_bound(*args)).all()
 
     def test_chained_in_place_updates_match_copies(self):
         # reused scratch carries nothing from one update into the next
