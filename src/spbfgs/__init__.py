@@ -65,5 +65,4 @@ from .updates import (
     spbfgs_curvature_ok,
     spbfgs_inverse_update,
     spbfgs_update,
-    symmetrize,
 )

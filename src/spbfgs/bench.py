@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyCellError
+from .errors import ConfigError, EmptyCellError
 from .linesearch import LineSearchConfig
 from .noise import NoiseSpec
 from .optimizer import RunConfig, minimize, minimize_baseline_bfgs
@@ -308,7 +308,16 @@ def write_traces_csv(path, outcomes):
 
 
 def run_experiment(spec):
-    """Run the full sweep, write CSVs under spec.out_dir, return the result."""
+    """Run the full sweep, write CSVs under spec.out_dir, return the result.
+
+    spec.out_dir is created before the first run; ConfigError if it cannot be.
+    """
+    out = Path(spec.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[experiment] out_dir = {spec.out_dir}: cannot create a "
+                          f"directory there ({exc.strerror})") from exc
     jobs = [
         (pi, mi, ci, rep)
         for pi in range(len(spec.problems))
@@ -340,8 +349,6 @@ def run_experiment(spec):
                 result.rows.append(
                     SummaryRow(group[0].problem, group[0].method, group[0].cell, stats)
                 )
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"
     write_summary_csv(summary_path, result.rows)
     result.summary_path = str(summary_path)

@@ -64,15 +64,14 @@ def _cmd_run(args):
     overrides += [(flag, section, key, getattr(args, flag))
                   for flag, (section, key, _) in FLAGS.items()
                   if getattr(args, flag) is not None]
+    from .bench import run_experiment  # deferred: keeps --help snappy
+
     try:
         spec = load_experiment(args.config, overrides)
+        result = run_experiment(spec)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    from .bench import run_experiment  # deferred: keeps --help snappy
-
-    result = run_experiment(spec)
     print(f"{result.n_runs} runs "
           f"({len(spec.problems)} problems x {len(spec.methods)} methods x "
           f"{len(spec.cells)} cells x {spec.replicates} replicates)")

@@ -80,11 +80,6 @@ def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
     h += a
 
 
-def symmetrize(a):
-    """Symmetric part (a + a.T) / 2."""
-    return 0.5 * (a + a.T)
-
-
 def is_positive_definite(a, pivot_tol=1e-12):
     """Cholesky-style test: success iff every pivot exceeds pivot_tol.
 
@@ -294,4 +289,4 @@ def spbfgs_inverse_update(b, pair, scalars):
     out = b - (omega / den) * num
     if not np.isfinite(out).all():
         raise NonFiniteError("inverse-form update produced non-finite entries")
-    return symmetrize(out)
+    return 0.5 * (out + out.T)

@@ -13,26 +13,18 @@ from dataclasses import replace
 import numpy as np
 
 from spbfgs.bench import ExperimentSpec, ProblemRef, run_experiment, run_seed
-from spbfgs.diagnostics import (
-    noise_region_threshold,
-    qlinear_envelope_holds,
-    trace_bound_b,
-    trace_bound_h,
-)
+from spbfgs.diagnostics import noise_region_threshold, qlinear_envelope_holds
 from spbfgs.linesearch import LineSearchConfig
 from spbfgs.noise import NoiseSpec
 from spbfgs.optimizer import RunConfig, fixed_step_descent, minimize, minimize_baseline_bfgs
-from spbfgs.oracle import make_weight_matrix, oracle_penalized_qp
 from spbfgs.policy import PenaltyPolicy
 from spbfgs.problems import get_problem, list_problems
-from spbfgs.updates import (
-    CurvaturePair,
-    bfgs_update,
-    compute_penalty_scalars,
-    is_positive_definite,
-    spbfgs_curvature_ok,
-    spbfgs_inverse_update,
-    spbfgs_update,
+from spbfgs.verify import (
+    check_identity_and_bounds,
+    check_inverse_consistency,
+    check_limits,
+    check_oracle_equivalence,
+    check_pd_iff,
 )
 
 
@@ -48,36 +40,9 @@ def report(criterion, ok, detail):
     assert ok, line
 
 
-def random_spd(rng, n, shift=0.5):
-    a = rng.standard_normal((n, n))
-    m = a @ a.T + shift * np.eye(n)
-    return 0.5 * (m + m.T)
-
-
-def random_pair(rng, n, sign=1):
-    while True:
-        s = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        if float(s @ y) * sign < 0:
-            y = -y
-        pair = CurvaturePair(s, y)
-        if abs(pair.sty) > 0.1:
-            return pair
-
-
 def test_c01_closed_form_matches_qp_oracle():
-    rng = np.random.default_rng(101)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.choice([2, 3, 4, 6]))
-        h = random_spd(rng, n)
-        pair = random_pair(rng, n, sign=1)
-        beta = float(rng.choice([0.1, 1.0, 10.0, 1000.0]))
-        closed = spbfgs_update(h, pair, compute_penalty_scalars(pair, beta))
-        for c in (1.0, 3.7):
-            ref = oracle_penalized_qp(h, pair, beta, make_weight_matrix(pair, c=c))
-            worst = max(worst, float(np.max(np.abs(closed - ref))))
+    worst = check_oracle_equivalence(seed=101, n_instances=100)
     elapsed = time.perf_counter() - start
     report("c01 closed-form-vs-qp-oracle",
            worst <= 1e-8 and elapsed < 10.0,
@@ -86,17 +51,8 @@ def test_c01_closed_form_matches_qp_oracle():
 
 
 def test_c02_exact_limits():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    zero_exact = True
-    for _ in range(100):
-        n = int(rng.integers(2, 8))
-        h = random_spd(rng, n)
-        pair = random_pair(rng, n, sign=1)
-        inf_up = spbfgs_update(h, pair, compute_penalty_scalars(pair, math.inf))
-        worst = max(worst, float(np.max(np.abs(inf_up - bfgs_update(h, pair)))))
-        zero_up = spbfgs_update(h, pair, compute_penalty_scalars(pair, 0.0))
-        zero_exact = zero_exact and np.array_equal(zero_up, h)
+    worst, zero_inexact = check_limits(seed=102, n_instances=100)
+    zero_exact = zero_inexact == 0
     report("c02 exact-limits",
            worst <= 1e-12 and zero_exact,
            f"max|beta=inf - classic| {worst:.3e} <= 1e-12; "
@@ -104,24 +60,7 @@ def test_c02_exact_limits():
 
 
 def test_c03_positive_definite_iff_curvature():
-    rng = np.random.default_rng(103)
-    mismatches = 0
-    n_hold = n_fail = 0
-    for i in range(1000):
-        n = int(rng.integers(2, 7))
-        h = random_spd(rng, n)
-        sign = 1 if i % 2 == 0 else -1
-        pair = random_pair(rng, n, sign=sign)
-        if pair.sty > 0.0:
-            beta = float(rng.choice([0.1, 1.0, 10.0, 1000.0]))
-        else:
-            # straddle the boundary -1/s.y, avoiding the factor-2 singularity
-            beta = -1.0 / pair.sty * float(rng.choice([0.25, 0.5, 1.5, 3.0]))
-        expected = spbfgs_curvature_ok(pair, beta)
-        got = is_positive_definite(spbfgs_update(h, pair, compute_penalty_scalars(pair, beta)))
-        n_hold += expected
-        n_fail += not expected
-        mismatches += got != expected
+    mismatches, n_hold, n_fail = check_pd_iff(seed=103, n_instances=1000)
     report("c03 pd-iff-curvature",
            mismatches == 0,
            f"{mismatches} mismatches over 1000 instances "
@@ -129,32 +68,7 @@ def test_c03_positive_definite_iff_curvature():
 
 
 def test_c04_value_identity_and_trace_bounds():
-    rng = np.random.default_rng(104)
-    worst_identity = 0.0
-    bound_violations = 0
-    for i in range(1000):
-        n = int(rng.integers(2, 7))
-        h = random_spd(rng, n)
-        if i % 10 < 7:
-            pair = random_pair(rng, n, sign=1)
-            beta = float(10.0 ** rng.uniform(-2, 3))
-        else:
-            # negative curvature but beta inside the admissible region
-            pair = random_pair(rng, n, sign=-1)
-            beta = -1.0 / pair.sty * float(rng.choice([0.25, 0.5]))
-        scalars = compute_penalty_scalars(pair, beta)
-        hp = spbfgs_update(h, pair, scalars)
-        weight = beta * pair.sty / (1.0 + beta * pair.sty)
-        expected = weight * pair.sty + (1.0 - weight) * float(pair.y @ (h @ pair.y))
-        got = float(pair.y @ (hp @ pair.y))
-        worst_identity = max(worst_identity,
-                             abs(got - expected) / max(1.0, abs(expected)))
-        if np.trace(hp) > trace_bound_h(h, pair, scalars) * (1 + 1e-10) + 1e-10:
-            bound_violations += 1
-        b = np.linalg.inv(h)
-        bp = spbfgs_inverse_update(b, pair, scalars)
-        if np.trace(bp) > trace_bound_b(b, pair, scalars) * (1 + 1e-10) + 1e-10:
-            bound_violations += 1
+    worst_identity, bound_violations = check_identity_and_bounds(seed=104, n_instances=1000)
     report("c04 value-identity-and-trace-bounds",
            worst_identity <= 1e-10 and bound_violations == 0,
            f"max identity residual {worst_identity:.3e} <= 1e-10, "
@@ -162,17 +76,7 @@ def test_c04_value_identity_and_trace_bounds():
 
 
 def test_c05_inverse_form_consistency():
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        h = random_spd(rng, n, shift=1.0)
-        pair = random_pair(rng, n, sign=1)
-        beta = float(rng.choice([0.5, 5.0, 500.0]))
-        scalars = compute_penalty_scalars(pair, beta)
-        hp = spbfgs_update(h, pair, scalars)
-        bp = spbfgs_inverse_update(np.linalg.inv(h), pair, scalars)
-        worst = max(worst, float(np.max(np.abs(hp @ bp - np.eye(n)))))
+    worst = check_inverse_consistency(seed=105, n_instances=100)
     report("c05 inverse-consistency",
            worst <= 1e-8,
            f"max|H+ B+ - I| {worst:.3e} <= 1e-08 (100 instances)")

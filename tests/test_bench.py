@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spbfgs.bench
+import spbfgs.verify
 from spbfgs.bench import (
     TRACE_COLUMNS,
     TRACE_RECORD_FIELDS,
@@ -489,6 +490,27 @@ class TestCli:
         assert cli_main(["verify"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok") >= 5
+
+    def test_verify_reports_a_broken_check(self, capsys, monkeypatch):
+        update = spbfgs.verify.spbfgs_update
+        monkeypatch.setattr("spbfgs.verify.spbfgs_update",
+                            lambda *args: update(*args) + 1e-6)
+        assert cli_main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL closed form matches the penalized QP oracle: max |closed - oracle| = " \
+            "1.000e-06" in out
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    def test_run_out_dir_not_a_directory_exits_2(self, tmp_path, capsys, monkeypatch, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        monkeypatch.setattr("spbfgs.bench.run_one",
+                            lambda *args: pytest.fail("a run started"))
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nproblems = rosenbrock\nworkers = 1\n")
+        out_dir = blocker / below
+        assert cli_main(["run", str(path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: [experiment] out_dir = {out_dir}: ")
 
     def test_run_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"

@@ -24,7 +24,7 @@ from spbfgs.updates import (
 )
 
 
-def random_spd(rng, n, spread=2.0):
+def random_spd_log_spectrum(rng, n, spread=2.0):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     vals = np.exp(rng.uniform(-spread, spread, size=n))
     m = (q * vals) @ q.T
@@ -113,7 +113,7 @@ class TestTraceBounds:
         rng = np.random.default_rng(7)
         for _ in range(200):
             n = rng.integers(2, 7)
-            h = random_spd(rng, n)
+            h = random_spd_log_spectrum(rng, n)
             s = rng.standard_normal(n)
             y = rng.standard_normal(n)
             if float(s @ y) <= 0.0:
@@ -128,7 +128,7 @@ class TestTraceBounds:
     def test_h_bound_holds_for_classic_update(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            h = random_spd(rng, 4)
+            h = random_spd_log_spectrum(rng, 4)
             s = rng.standard_normal(4)
             y = rng.standard_normal(4) + s  # usually positive curvature
             if float(s @ y) <= 0.0:
@@ -142,7 +142,7 @@ class TestTraceBounds:
         rng = np.random.default_rng(9)
         for _ in range(200):
             n = rng.integers(2, 7)
-            b = random_spd(rng, n)
+            b = random_spd_log_spectrum(rng, n)
             s = rng.standard_normal(n)
             y = rng.standard_normal(n)
             pair = CurvaturePair(s, y)
@@ -181,8 +181,8 @@ class TestScaledConditionNumber:
     def test_matches_eigenvalues_of_the_product(self):
         # L^T A L is similar to H A, so the spectra agree
         rng = np.random.default_rng(3)
-        a = random_spd(rng, 5)
-        h = random_spd(rng, 5)
+        a = random_spd_log_spectrum(rng, 5)
+        h = random_spd_log_spectrum(rng, 5)
         vals = np.sort(np.linalg.eigvals(h @ a).real)
         scaled = scaled_condition_number(h, a)
         assert scaled == pytest.approx(vals[-1] / vals[0], rel=1e-8)

@@ -8,26 +8,14 @@ import pytest
 from spbfgs.errors import BadDimensionError, DegenerateInputError
 from spbfgs.oracle import make_weight_matrix, oracle_penalized_qp
 from spbfgs.updates import CurvaturePair, compute_penalty_scalars, spbfgs_update
-
-
-def random_spd(rng, n, shift=0.5):
-    a = rng.standard_normal((n, n))
-    return a @ a.T + shift * np.eye(n)
-
-
-def positive_pair(rng, n):
-    while True:
-        s = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        if s @ y > 0.1:
-            return CurvaturePair(s, y)
+from spbfgs.verify import random_pair, random_spd
 
 
 class TestWeightMatrix:
     def test_maps_s_to_y(self):
         rng = np.random.default_rng(30)
         for c in (1.0, 3.7, 0.2):
-            pair = positive_pair(rng, 5)
+            pair = random_pair(rng, 5, sign=1)
             w = make_weight_matrix(pair, c)
             np.testing.assert_allclose(w @ pair.s, pair.y, rtol=0,
                                        atol=1e-12 * (1.0 + np.abs(pair.y).max()))
@@ -35,7 +23,7 @@ class TestWeightMatrix:
     def test_positive_definite(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            pair = positive_pair(rng, 4)
+            pair = random_pair(rng, 4, sign=1)
             w = make_weight_matrix(pair, 1.3)
             assert np.linalg.eigvalsh(w)[0] > 0.0
 
@@ -58,7 +46,7 @@ class TestPenalizedQpOracle:
     def test_beta_zero_returns_h(self):
         rng = np.random.default_rng(32)
         h = random_spd(rng, 3)
-        pair = positive_pair(rng, 3)
+        pair = random_pair(rng, 3, sign=1)
         w = make_weight_matrix(pair)
         out = oracle_penalized_qp(h, pair, 0.0, w)
         np.testing.assert_allclose(out, h, rtol=0, atol=1e-10 * np.abs(h).max())
@@ -66,7 +54,7 @@ class TestPenalizedQpOracle:
     def test_result_symmetric(self):
         rng = np.random.default_rng(33)
         h = random_spd(rng, 4)
-        pair = positive_pair(rng, 4)
+        pair = random_pair(rng, 4, sign=1)
         out = oracle_penalized_qp(h, pair, 2.0, make_weight_matrix(pair))
         np.testing.assert_array_equal(out, out.T)
 
@@ -74,7 +62,7 @@ class TestPenalizedQpOracle:
         rng = np.random.default_rng(34)
         for beta in (0.1, 1.0, 10.0, 1000.0):
             h = random_spd(rng, 4)
-            pair = positive_pair(rng, 4)
+            pair = random_pair(rng, 4, sign=1)
             closed = spbfgs_update(h, pair, compute_penalty_scalars(pair, beta))
             for c in (1.0, 3.7):
                 numeric = oracle_penalized_qp(h, pair, beta, make_weight_matrix(pair, c))
@@ -85,7 +73,7 @@ class TestPenalizedQpOracle:
         # the minimizer must not depend on which admissible W is used
         rng = np.random.default_rng(35)
         h = random_spd(rng, 3)
-        pair = positive_pair(rng, 3)
+        pair = random_pair(rng, 3, sign=1)
         a = oracle_penalized_qp(h, pair, 5.0, make_weight_matrix(pair, 1.0))
         b = oracle_penalized_qp(h, pair, 5.0, make_weight_matrix(pair, 3.7))
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-8 * max(1.0, np.abs(a).max()))
@@ -110,7 +98,7 @@ class TestPenalizedQpOracle:
         # as beta grows the minimizer must approach satisfying Z y = s
         rng = np.random.default_rng(36)
         h = random_spd(rng, 3)
-        pair = positive_pair(rng, 3)
+        pair = random_pair(rng, 3, sign=1)
         w = make_weight_matrix(pair)
         residuals = []
         for beta in (1.0, 100.0, 10000.0):

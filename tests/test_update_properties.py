@@ -3,7 +3,8 @@
 H is drawn as A A^T + shift I, so it is safely positive definite; s and y
 have entries in [-1, 1], norms of at least 0.1 and an angle whose cosine is
 at least 0.1 in magnitude, so s.y is never a rounding error away from 0.
-beta ranges over 10^-300 .. 10^300.
+beta ranges over 10^-300 .. 10^300, and near the boundary s.y = -1/beta
+over relative distances 10^-10 .. 0.5 from it.
 """
 
 import math
@@ -28,6 +29,7 @@ PROPERTY = settings(derandomize=True, deadline=None)
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 log10_beta = st.floats(min_value=-300.0, max_value=300.0, allow_nan=False)
+log10_offset = st.floats(min_value=-10.0, max_value=math.log10(0.5), allow_nan=False)
 
 
 @st.composite
@@ -82,8 +84,26 @@ def test_beta_inf_is_bfgs_bitwise(problem):
 def test_positive_definite_iff_relaxed_curvature(problem, e):
     h, pair = problem
     beta = 10.0 ** e
-    # bounded away from the boundary s.y = -1/beta, i.e. beta s.y = -1
-    assume(not -1.5 <= beta * pair.sty <= -0.5)
+    # the boundary s.y = -1/beta, i.e. beta s.y = -1, is drawn on purpose below
+    assume(abs(1.0 + beta * pair.sty) >= 1e-10)
+    out = update(h, pair, beta)
+    assume(out is not None)
+    assert is_positive_definite(out) == spbfgs_curvature_ok(pair, beta)
+
+
+@PROPERTY
+@given(problems(), log10_offset, st.sampled_from([-1.0, 1.0]))
+def test_positive_definite_iff_relaxed_curvature_near_boundary(problem, e, side):
+    """beta = -(1 + side d)/s.y: relative distance d in [1e-10, 0.5] from the boundary.
+
+    float64 cannot decide within ~1e-13: there the update is positive
+    definite in exact arithmetic, but its entries grow like 1/d and
+    is_positive_definite's pivot tolerance rejects it.
+    """
+    h, pair = problem
+    if pair.sty > 0.0:
+        pair = CurvaturePair(pair.s, -pair.y)
+    beta = -(1.0 + side * 10.0 ** e) / pair.sty
     out = update(h, pair, beta)
     assume(out is not None)
     assert is_positive_definite(out) == spbfgs_curvature_ok(pair, beta)

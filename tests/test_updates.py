@@ -22,21 +22,8 @@ from spbfgs.updates import (
     spbfgs_curvature_ok,
     spbfgs_inverse_update,
     spbfgs_update,
-    symmetrize,
 )
-
-
-def random_spd(rng, n, shift=0.5):
-    a = rng.standard_normal((n, n))
-    return a @ a.T + shift * np.eye(n)
-
-
-def positive_pair(rng, n):
-    while True:
-        s = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        if s @ y > 0.1:
-            return CurvaturePair(s, y)
+from spbfgs.verify import random_pair, random_spd
 
 
 def kernel_terms(h, s, y, gamma, omega):
@@ -198,7 +185,7 @@ class TestBfgsUpdate:
         for _ in range(25):
             n = rng.integers(1, 6)
             h = random_spd(rng, n)
-            pair = positive_pair(rng, n)
+            pair = random_pair(rng, n, sign=1)
             rho = 1.0 / pair.sty
             eye = np.eye(n)
             v = eye - rho * np.outer(pair.y, pair.s)
@@ -210,7 +197,7 @@ class TestBfgsUpdate:
         rng = np.random.default_rng(12)
         for _ in range(25):
             h = random_spd(rng, 4)
-            pair = positive_pair(rng, 4)
+            pair = random_pair(rng, 4, sign=1)
             hplus = bfgs_update(h, pair)
             np.testing.assert_allclose(hplus @ pair.y, pair.s, rtol=0,
                                        atol=1e-10 * (1.0 + np.abs(pair.s).max()))
@@ -231,7 +218,7 @@ class TestSpbfgsUpdate:
         rng = np.random.default_rng(13)
         for _ in range(25):
             h = random_spd(rng, 5)
-            pair = positive_pair(rng, 5)
+            pair = random_pair(rng, 5, sign=1)
             sc = compute_penalty_scalars(pair, math.inf)
             assert np.array_equal(spbfgs_update(h, pair, sc), bfgs_update(h, pair))
 
@@ -247,7 +234,7 @@ class TestSpbfgsUpdate:
         rng = np.random.default_rng(15)
         for beta in (0.3, 5.0, 1e3):
             h = random_spd(rng, 4)
-            pair = positive_pair(rng, 4)
+            pair = random_pair(rng, 4, sign=1)
             out = spbfgs_update(h, pair, compute_penalty_scalars(pair, beta))
             assert np.array_equal(out, out.T)
 
@@ -269,7 +256,7 @@ class TestSpbfgsUpdate:
         rng = np.random.default_rng(17)
         for _ in range(50):
             h = random_spd(rng, 4)
-            pair = positive_pair(rng, 4)
+            pair = random_pair(rng, 4, sign=1)
             beta = float(rng.uniform(0.05, 50.0))
             out = spbfgs_update(h, pair, compute_penalty_scalars(pair, beta))
             w = beta * pair.sty / (1.0 + beta * pair.sty)
@@ -301,7 +288,7 @@ class TestInPlaceKernel:
     def test_bitwise_equal_to_reference(self, n, beta):
         rng = np.random.default_rng(n)
         h = random_spd(rng, n)
-        pair = positive_pair(rng, n)
+        pair = random_pair(rng, n, sign=1)
         sc = compute_penalty_scalars(pair, beta)
         expected = reference_update(h, pair.s, pair.y, sc.gamma, sc.omega).tobytes()
         h_before = h.tobytes()
@@ -318,7 +305,7 @@ class TestInPlaceKernel:
     def test_close_to_expanded_form(self, n, beta):
         rng = np.random.default_rng(n)
         h = random_spd(rng, n)
-        pair = positive_pair(rng, n)
+        pair = random_pair(rng, n, sign=1)
         sc = compute_penalty_scalars(pair, beta)
         args = (h, pair.s, pair.y, sc.gamma, sc.omega)
         gap = np.abs(spbfgs_update(h, pair, sc) - expanded_update(*args))
@@ -332,7 +319,7 @@ class TestInPlaceKernel:
         copied = h.copy()
         scratch = scratch_pair(n)
         for beta in (0.5, 1e3, math.inf, 1.0, 7.0):
-            pair = positive_pair(rng, n)
+            pair = random_pair(rng, n, sign=1)
             sc = compute_penalty_scalars(pair, beta)
             copied = spbfgs_update(copied, pair, sc)
             spbfgs_update(h, pair, sc, scratch)
@@ -370,7 +357,7 @@ class TestInverseUpdate:
         for _ in range(25):
             h = random_spd(rng, 4)
             b = np.linalg.inv(h)
-            pair = positive_pair(rng, 4)
+            pair = random_pair(rng, 4, sign=1)
             beta = float(rng.uniform(0.1, 100.0))
             sc = compute_penalty_scalars(pair, beta)
             hplus = spbfgs_update(h, pair, sc)
@@ -380,7 +367,7 @@ class TestInverseUpdate:
     def test_beta_inf_inverse_consistency(self):
         rng = np.random.default_rng(19)
         h = random_spd(rng, 3)
-        pair = positive_pair(rng, 3)
+        pair = random_pair(rng, 3, sign=1)
         sc = compute_penalty_scalars(pair, math.inf)
         bplus = spbfgs_inverse_update(np.linalg.inv(h), pair, sc)
         np.testing.assert_allclose(bplus @ spbfgs_update(h, pair, sc), np.eye(3),
@@ -401,11 +388,6 @@ class TestInverseUpdate:
 
 
 class TestMatrixHelpers:
-    def test_symmetrize(self):
-        a = np.array([[1.0, 2.0], [0.0, 3.0]])
-        out = symmetrize(a)
-        np.testing.assert_array_equal(out, np.array([[1.0, 1.0], [1.0, 3.0]]))
-
     def test_pd_check_identity(self):
         assert is_positive_definite(np.eye(3))
         assert not is_positive_definite(-np.eye(3))
