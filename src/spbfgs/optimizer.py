@@ -11,8 +11,8 @@ still counts.
 H is updated in place, with two n x n scratch arrays allocated once per
 run, so an iteration allocates nothing of size n x n.  The kernel keeps a
 symmetric H exactly symmetric without a symmetrizing pass, so symmetry is
-checked once, on h0, when the run starts; an h0 that is not exactly
-symmetric is rejected with ValueError.
+checked once, on h0, when the run starts; an h0 that is not finite or not
+exactly symmetric is rejected with ValueError.
 
 Termination is budget-only: a fixed number of iterations, or of noisy
 function evaluations (line-search trials included, gradients free).  There
@@ -131,7 +131,9 @@ def _run(problem, config, method, baseline):
         h = np.array(config.h0, dtype=float, order="C")
         if h.shape != (n, n):
             raise ValueError(f"h0 must be {n}x{n}, got {h.shape}")
-        if not np.array_equal(h, h.T, equal_nan=True):
+        if not np.isfinite(h).all():
+            raise ValueError("h0 must be finite")
+        if not np.array_equal(h, h.T):
             raise ValueError("h0 must be exactly symmetric")
     # the update overwrites h and these, so no iteration allocates an n x n array
     scratch = (np.empty((n, n)), np.empty((n, n)))

@@ -317,6 +317,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="symmetric"):
             run(quad2(), RunConfig(budget_iters=1, h0=h0))
 
+    @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_h0_must_be_finite(self, run, bad):
+        # a non-finite diagonal entry is symmetric, so the symmetry check alone passed it
+        with pytest.raises(ValueError, match="finite"):
+            run(get_problem("rosenbrock"), RunConfig(budget_evals=200, h0=[[bad, 0.0], [0.0, 1.0]]))
+
     def test_h0_left_untouched(self):
         # the run updates its own copy of h0 in place
         h0 = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -328,9 +335,10 @@ class TestRunConfig:
 class TestInPlaceUpdate:
     @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
     def test_update_allocates_no_matrix(self, run, monkeypatch):
-        # the driver's update writes into H and the run's scratch.  A call
-        # still allocates H y, the n x n bool of the finiteness check and
-        # numpy's fixed-size ufunc buffers (2 x 64 KB), but no n x n float
+        # the driver's update writes into H and the run's scratch, and from
+        # n = 64 up the kernel's einsum products need no ufunc buffers.  A call
+        # still allocates the n x n bool of the finiteness check and a few
+        # length-n vectors, but no n x n float and no n x n buffer
         n = 256
         allocated = []
         update = optimizer.spbfgs_update
@@ -350,7 +358,7 @@ class TestInPlaceUpdate:
             tracemalloc.stop()
         assert not trace.failed
         assert len(allocated) >= 5
-        assert max(allocated) < 8 * n * n // 2
+        assert max(allocated) < n * n + 64 * n
 
 
 class TestFixedStepDescent:
