@@ -32,12 +32,12 @@ and folds its vector terms into one vector u:
 
 One kernel computes it in place, into H, with two caller-owned n x n
 scratch arrays, so a call allocates nothing of size n x n: two outer
-products, one sum and one add into H.  The outer products are a broadcast
-np.multiply below n = 64 and a single-term einsum from n = 64 up, where
-einsum is about twice as fast and needs no ufunc buffers; each entry is the
-same single IEEE product either way.  The driver passes its own H and
-scratch allocated once per run; the public functions called without
-scratch copy H and return the copy, through the same kernel.  H must be
+products, one sum and one add into H.  The outer products are single-term
+einsums, which at n = 256 write them in about half the time of a broadcast
+np.multiply and need no ufunc iteration buffers; each entry is one IEEE
+product.  The driver passes its own H and scratch allocated once per run;
+the public functions called without scratch copy H and return the copy,
+through the same kernel.  H must be
 exactly symmetric, and then so is the result: entry (i, j) of
 s u^T + u s^T is s_i u_j + u_i s_j and entry (j, i) is s_j u_i + u_j s_i,
 the same two IEEE products added in the other order.  Symmetry is a
@@ -62,13 +62,6 @@ from .errors import (
 )
 
 
-# From this n up the kernel forms its outer products with einsum, which at
-# n = 256 writes them in about half the time of a broadcast np.multiply and
-# allocates no ufunc iteration buffers; below it einsum's call overhead costs
-# more than it saves (the crossover is at ~48-64).
-_EINSUM_MIN_N = 64
-
-
 def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
     """Overwrite h with H + s u^T + u s^T, u = (gamma*(1 + omega*y.Hy)/2) s - omega Hy.
 
@@ -78,14 +71,12 @@ def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
     symmetric, with no symmetrizing pass: s_i u_j + u_i s_j and
     s_j u_i + u_j s_i are the same two IEEE products, added in the other order.
 
-    The products s u^T and u s^T are formed by a broadcast np.multiply below
-    n = _EINSUM_MIN_N and by the single-term einsum "i,j->ij" from there up.
-    Both round each entry as one IEEE product; einsum adds it to a zeroed
-    output, so a product of -0 comes out +0.  The sum of the two products is
-    then -0 under np.multiply and +0 under einsum only when both are -0, and
-    H + that sum differs only where the entry of H is itself -0.  The sum is
-    not fused into one two-term product (einsum "ki,kj->ij", matmul, BLAS
-    syr2): a backend that contracts it to a fused multiply-add rounds
+    The products s u^T and u s^T are each a single-term einsum "i,j->ij",
+    which rounds every entry as one IEEE product and, unlike a broadcast
+    np.multiply, needs no ufunc iteration buffers.  einsum adds each product
+    to a zeroed output, so a product of -0 comes out +0.  The sum is not
+    fused into one two-term product (einsum "ki,kj->ij", matmul, BLAS syr2):
+    a backend that contracts it to a fused multiply-add rounds
     s_i u_j + u_i s_j once, which changes the bytes and breaks the exact
     symmetry above.
     """
@@ -94,12 +85,8 @@ def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
     coef = gamma * (1.0 + omega * yhy)
     u = (0.5 * coef) * s - omega * hy
     # adding a's transposed view instead of b is slower at large n
-    if h.shape[0] < _EINSUM_MIN_N:
-        np.multiply(s[:, None], u, out=a)
-        np.multiply(u[:, None], s, out=b)
-    else:
-        np.einsum("i,j->ij", s, u, out=a)
-        np.einsum("i,j->ij", u, s, out=b)
+    np.einsum("i,j->ij", s, u, out=a)
+    np.einsum("i,j->ij", u, s, out=b)
     a += b
     h += a
 

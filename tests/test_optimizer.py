@@ -335,10 +335,10 @@ class TestRunConfig:
 class TestInPlaceUpdate:
     @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
     def test_update_allocates_no_matrix(self, run, monkeypatch):
-        # the driver's update writes into H and the run's scratch, and from
-        # n = 64 up the kernel's einsum products need no ufunc buffers.  A call
-        # still allocates the n x n bool of the finiteness check and a few
-        # length-n vectors, but no n x n float and no n x n buffer
+        # the driver's update writes into H and the run's scratch, and the
+        # kernel's einsum products need no ufunc buffers.  A call still
+        # allocates the n x n bool of the finiteness check and a few length-n
+        # vectors, but no n x n float and no n x n buffer
         n = 256
         allocated = []
         update = optimizer.spbfgs_update

@@ -13,7 +13,6 @@ from spbfgs.errors import (
     SingularDenominatorError,
 )
 from spbfgs.updates import (
-    _EINSUM_MIN_N,
     CurvaturePair,
     PenaltyScalars,
     bfgs_curvature_ok,
@@ -36,9 +35,8 @@ def kernel_terms(h, s, y, gamma, omega):
 def reference_update(h, s, y, gamma, omega):
     """The kernel as an allocating expression: H + (s u^T + u s^T).
 
-    + 0.0 turns a -0 product into +0, as the kernel's einsum (n >= 64) does,
-    and leaves every other value alone; test_sign_of_zero says why the
-    np.multiply path (n < 64) still matches wherever H holds no -0.
+    + 0.0 turns a -0 product into +0, as the kernel's einsum does, and
+    leaves every other value alone (see test_sign_of_zero).
     """
     hy, coef = kernel_terms(h, s, y, gamma, omega)
     u = (0.5 * coef) * s - omega * hy
@@ -299,12 +297,8 @@ class TestSpbfgsUpdate:
         assert bfgs_update(h, pair).tobytes() == out.tobytes()
 
 
-# both sides of the kernel's switch from np.multiply to einsum at n = 64
-KERNEL_SIZES = [1, 2, 5, 32, 63, 64, 256]
-
-
 class TestInPlaceKernel:
-    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 256])
     @pytest.mark.parametrize("beta", [1e-300, 1.0, 1e300, math.inf])
     def test_bitwise_equal_to_reference(self, n, beta):
         rng = np.random.default_rng(n)
@@ -321,7 +315,7 @@ class TestInPlaceKernel:
         assert out is h
         assert h.tobytes() == expected
 
-    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 256])
     @pytest.mark.parametrize("beta", [1e-300, 1.0, 1e300, math.inf])
     def test_close_to_expanded_form(self, n, beta):
         rng = np.random.default_rng(n)
@@ -341,8 +335,8 @@ class TestInPlaceKernel:
         assert h.tobytes() == copied.tobytes()
 
     def test_chained_in_place_updates_at_large_n(self):
-        # the einsum path: still exactly symmetric after every update, with
-        # no symmetrizing pass, and bitwise the copying path
+        # still exactly symmetric after every update, with no symmetrizing
+        # pass, and bitwise the copying path
         rng = np.random.default_rng(24)
         n = 256
         h = random_spd(rng, n)
@@ -350,19 +344,20 @@ class TestInPlaceKernel:
         assert np.array_equal(h, h.T)
         assert h.tobytes() == copied.tobytes()
 
-    @pytest.mark.parametrize("n", [63, 64, 256])
+    @pytest.mark.parametrize("n", [2, 256])
     def test_sign_of_zero(self, n):
         """Zeros in s and negative entries in u make -0 products.
 
         At (0, 1) and (1, 0) both products s_i u_j and u_i s_j are -0, and
-        H holds -0 there.  einsum (n >= 64) writes each product as +0, so
-        the entry is -0 + (+0 + +0) = +0, as in reference_update.  Under
-        np.multiply the sum is -0 and so is the entry.  That is the only
-        kind of entry the two paths can differ at: a sum of two products
+        H holds -0 there.  einsum writes each product as +0, so the entry is
+        -0 + (+0 + +0) = +0, as in reference_update.  A broadcast np.multiply
+        keeps both products -0 and the entry -0.  That is the only kind of
+        entry the two primitives can differ at: a sum of two products
         differs between them only when both are -0, and adding a -0 or +0
         to an entry of H changes it only when that entry is -0.  H starting
-        from the identity never holds a -0: x + y rounds to -0 only when x
-        and y are both -0.
+        from the identity never holds a -0 (x + y rounds to -0 only when x
+        and y are both -0), so the driver's results do not depend on which
+        primitive forms the products.
         """
         rng = np.random.default_rng(25)
         h = np.diag(rng.uniform(1.0, 2.0, n))
@@ -371,15 +366,12 @@ class TestInPlaceKernel:
         s[:2] = 0.0
         pair = CurvaturePair(s, rng.uniform(0.5, 1.5, n))
         sc = compute_penalty_scalars(pair, 1.0)
-        expected = reference_update(h, pair.s, pair.y, sc.gamma, sc.omega)
         hy, coef = kernel_terms(h, pair.s, pair.y, sc.gamma, sc.omega)
         assert ((0.5 * coef) * pair.s - sc.omega * hy)[:2].max() < 0.0  # u_0, u_1 < 0
         out = spbfgs_update(h.copy(), pair, sc, scratch_pair(n))
-        assert np.array_equal(out, expected)  # equal values, +0 == -0
-        negative_zero = (h == 0.0) & np.signbit(h)
-        assert out[~negative_zero].tobytes() == expected[~negative_zero].tobytes()
-        if n >= _EINSUM_MIN_N:
-            assert out.tobytes() == expected.tobytes()
+        expected = reference_update(h, pair.s, pair.y, sc.gamma, sc.omega)
+        assert out.tobytes() == expected.tobytes()
+        assert not np.signbit(out[0, 1]) and not np.signbit(out[1, 0])
 
     def test_beta_zero_in_place_leaves_h(self):
         h = random_spd(np.random.default_rng(22), 3)
