@@ -21,8 +21,10 @@ Summary CSV schema (fixed):
 
 In relative noise mode the eps_f/eps_g columns carry the configured
 relative factors; the resolved absolute levels scale with |phi(x0)| and
-||grad phi(x0)|| per problem.  Optional long-format per-iteration traces
-(one row per iteration per run) support convergence and penalty plots.
+||grad phi(x0)|| per problem; each run's RunConfig resolves the spec's
+policy and Armijo slack (eps_armijo = None, the default) against them.
+Optional long-format per-iteration traces (one row per iteration per run)
+support convergence and penalty plots.
 """
 
 import csv
@@ -30,7 +32,7 @@ import hashlib
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -132,8 +134,7 @@ class ExperimentSpec:
     master_seed: int = 0
     budget_evals: Optional[int] = 2000
     budget_iters: Optional[int] = None
-    linesearch: LineSearchConfig = LineSearchConfig()
-    eps_armijo_auto: bool = True  # eps_armijo = the cell's resolved eps_f
+    linesearch: LineSearchConfig = LineSearchConfig(eps_armijo=None)  # None: the cell's eps_f
     policy: PenaltyPolicy = PenaltyPolicy(kind="scaled", scale=1e8, offset=1e-10)
     out_dir: str = "results"
     record_traces: bool = False
@@ -236,14 +237,10 @@ def resolve_cell(problem, cell, noise_mode):
 def run_one(spec, problem_ref, method, cell, rep):
     """Execute a single replicate and reduce it to a RunOutcome."""
     problem = problem_ref.instantiate()
-    abs_cell = resolve_cell(problem, cell, spec.noise_mode)
-    ls = spec.linesearch
-    if spec.eps_armijo_auto:
-        ls = replace(ls, eps_armijo=abs_cell.eps_f)
     config = RunConfig(
         policy=spec.policy,
-        linesearch=ls,
-        noise=abs_cell,
+        linesearch=spec.linesearch,
+        noise=resolve_cell(problem, cell, spec.noise_mode),
         budget_evals=spec.budget_evals,
         budget_iters=spec.budget_iters,
         seed=run_seed(spec.master_seed, problem.name, method, cell, rep),

@@ -95,7 +95,7 @@ def _parse_cells(raw):
 
 
 def _parse_eps_armijo(raw):
-    """None for auto (the cell's resolved eps_f), else the number."""
+    """None for auto (the run's eps_f, resolved by RunConfig), else the number."""
     return None if raw.lower() == "auto" else _parse_float(raw)
 
 
@@ -173,13 +173,9 @@ def load_experiment(path, overrides=()):
         raise ConfigError("[experiment] problems is required")
     if "budget_iters" in spec:  # [budget] iters alone sets no evaluation budget
         spec.setdefault("budget_evals", None)
-    linesearch = given[LineSearchConfig]
-    if "eps_armijo" in linesearch:
-        spec["eps_armijo_auto"] = linesearch["eps_armijo"] is None
-        if spec["eps_armijo_auto"]:
-            del linesearch["eps_armijo"]
     # linesearch and policy keys left out keep ExperimentSpec's defaults
-    for field, values in (("linesearch", linesearch), ("policy", given[PenaltyPolicy])):
+    for field, values in (("linesearch", given[LineSearchConfig]),
+                          ("policy", given[PenaltyPolicy])):
         try:
             spec[field] = replace(getattr(ExperimentSpec, field), **values)
         except ValueError as exc:

@@ -13,6 +13,7 @@ still counts, no step is taken).
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,7 @@ class LineSearchConfig:
     alpha0: float = 1.0
     tau: float = 0.5
     c1: float = 1e-4
-    eps_armijo: float = 0.0
+    eps_armijo: Optional[float] = 0.0  # None: the run's eps_f, resolved by RunConfig
     max_backtracks: int = 45
 
     def __post_init__(self):
@@ -30,7 +31,7 @@ class LineSearchConfig:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if not 0.0 < self.c1 < 1.0:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
-        if self.eps_armijo < 0.0 or math.isnan(self.eps_armijo):
+        if self.eps_armijo is not None and not self.eps_armijo >= 0.0:
             raise ValueError(f"eps_armijo must be >= 0, got {self.eps_armijo}")
         if self.max_backtracks < 1:
             raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")

@@ -66,7 +66,7 @@ class NoisyOracle:
             raise ValueError(f"budget_evals must be >= 0, got {budget_evals}")
         self.problem = problem
         self.spec = spec
-        self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)  # a Generator is used as is
         self.budget_evals = budget_evals
         self.n_f_evals = 0
         self.n_g_evals = 0

@@ -10,9 +10,10 @@ still counts.
 
 H is updated in place, with two n x n scratch arrays allocated once per
 run, so an iteration allocates nothing of size n x n.  The kernel keeps a
-symmetric H exactly symmetric without a symmetrizing pass, so symmetry is
-checked once, on h0, when the run starts; an h0 that is not finite or not
-exactly symmetric is rejected with ValueError.
+symmetric H exactly symmetric without a symmetrizing pass, so h0 is
+checked once, when the run starts, by the copying update's check of H
+(a ValueError naming h0 if it is not n x n, finite and exactly symmetric).
+Both methods update H through spbfgs_update, BFGS at beta = +inf.
 
 Termination is budget-only: a fixed number of iterations, or of noisy
 function evaluations (line-search trials included, gradients free).  There
@@ -31,7 +32,7 @@ is expected and handled, not warned about.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -40,7 +41,8 @@ from .errors import EvaluationBudgetError, NonFiniteError
 from .linesearch import LineSearchConfig, backtrack
 from .noise import NoiseSpec, NoisyOracle
 from .policy import SKIP, UPDATE, PenaltyPolicy, baseline_update_ok, propose_beta, resolve_beta
-from .updates import CurvaturePair, compute_penalty_scalars, is_positive_definite, spbfgs_update
+from .updates import (CurvaturePair, _checked_h_copy, compute_penalty_scalars,
+                      is_positive_definite, spbfgs_update)
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,12 @@ class RunConfig:
     record_hessian_diagnostics: bool = False  # pd_ok on each record; needs record_iterations
 
     def __post_init__(self):
-        # a scaled policy takes its step scale from this run's gradient noise;
-        # resolved once, so replace(config, noise=...) keeps the old scale
+        # a scaled policy and an unset Armijo slack take this run's noise levels;
+        # resolved once, so replace(config, noise=...) keeps the old values
         object.__setattr__(self, "policy", self.policy.resolve(self.noise.eps_g))
+        if self.linesearch.eps_armijo is None:
+            object.__setattr__(self, "linesearch",
+                               replace(self.linesearch, eps_armijo=self.noise.eps_f))
         if self.budget_evals is None and self.budget_iters is None:
             raise ValueError("set budget_evals, budget_iters, or both")
         if self.budget_evals is not None and self.budget_evals < 1:
@@ -125,16 +130,7 @@ def _run(problem, config, method, baseline):
     trace = RunTrace(problem=problem.name, method=method)
     n = problem.n
     x = np.array(problem.x0, dtype=float, copy=True)
-    if config.h0 is None:
-        h = np.eye(n)
-    else:
-        h = np.array(config.h0, dtype=float, order="C")
-        if h.shape != (n, n):
-            raise ValueError(f"h0 must be {n}x{n}, got {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError("h0 must be finite")
-        if not np.array_equal(h, h.T):
-            raise ValueError("h0 must be exactly symmetric")
+    h = np.eye(n) if config.h0 is None else _checked_h_copy(config.h0, n, name="h0")
     # the update overwrites h and these, so no iteration allocates an n x n array
     scratch = (np.empty((n, n)), np.empty((n, n)))
     keep_records = config.record_iterations

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateInputError,
     SingularSystemError,
 )
+from .updates import bfgs_curvature_ok
 
 
 def make_weight_matrix(pair, c=1.0):
@@ -41,7 +42,7 @@ def make_weight_matrix(pair, c=1.0):
     sts = float(s @ s)
     if sts == 0.0:
         raise DegenerateInputError("s must be nonzero")
-    if pair.sty <= 0.0:
+    if not bfgs_curvature_ok(pair):
         raise DegenerateInputError(f"weight construction needs s.y > 0, got {pair.sty}")
     n = pair.n
     w = np.outer(y, y) / pair.sty + c * (np.eye(n) - np.outer(s, s) / sts)

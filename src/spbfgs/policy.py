@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .updates import spbfgs_curvature_ok
+from .updates import bfgs_curvature_ok, spbfgs_curvature_ok
 
 UPDATE = "update"
 SKIP = "skip"
@@ -140,7 +140,7 @@ def baseline_update_ok(policy, pair):
     the step-norm and cosine bounds are 0 too and would admit it, and the
     BFGS update is undefined there.
     """
-    if not pair.sty > 0.0:
+    if not bfgs_curvature_ok(pair):
         return False
     if policy.skip_rule == "nonpositive":
         return True

@@ -35,14 +35,13 @@ scratch arrays, so a call allocates nothing of size n x n: two outer
 products, one sum and one add into H.  The outer products are single-term
 einsums, which at n = 256 write them in about half the time of a broadcast
 np.multiply and need no ufunc iteration buffers; each entry is one IEEE
-product.  The driver passes its own H and scratch allocated once per run;
-the public functions called without scratch copy H and return the copy,
-through the same kernel.  H must be
-exactly symmetric, and then so is the result: entry (i, j) of
-s u^T + u s^T is s_i u_j + u_i s_j and entry (j, i) is s_j u_i + u_j s_i,
-the same two IEEE products added in the other order.  Symmetry is a
-precondition checked where H enters (the driver's h0, the copying public
-path), not a pass over every result.
+product.  Only spbfgs_update calls it, with the driver's H and scratch
+or, without scratch, on a checked copy of H; bfgs_update is spbfgs_update
+at beta = +inf.  H must be finite and exactly symmetric, and then so is
+the result: entry (i, j) of s u^T + u s^T is s_i u_j + u_i s_j and entry
+(j, i) is s_j u_i + u_j s_i, the same two IEEE products added in the
+other order.  One check, _checked_h_copy, enforces this where H enters
+(the driver's h0, the copying public path), not on every result.
 
 A direct update of the Hessian approximation B = H^{-1} is provided for
 diagnostics; the driver itself only maintains H.
@@ -150,13 +149,17 @@ def bfgs_curvature_ok(pair):
     return pair.sty > 0.0
 
 
+def _check_beta(beta):
+    if beta < 0.0 or math.isnan(beta):
+        raise ValueError(f"beta must lie in [0, +inf], got {beta}")
+
+
 def spbfgs_curvature_ok(pair, beta):
     """Relaxed curvature condition s.y > -1/beta.
 
     Always true at beta = 0; reduces to s.y > 0 at beta = +inf.
     """
-    if beta < 0.0 or math.isnan(beta):
-        raise ValueError(f"beta must lie in [0, +inf], got {beta}")
+    _check_beta(beta)
     if beta == 0.0:
         return True
     # -1.0/inf == -0.0, so beta=+inf demands sty strictly positive
@@ -174,17 +177,10 @@ def compute_penalty_scalars(pair, beta):
     coefficients that overflow (a subnormal denominator) raise
     NonFiniteError.
     """
-    if beta < 0.0 or math.isnan(beta):
-        raise ValueError(f"beta must lie in [0, +inf], got {beta}")
+    _check_beta(beta)
     if beta == 0.0:
         return PenaltyScalars(0.0, 0.0, 0.0)
-    if math.isinf(beta):
-        if pair.sty == 0.0:
-            raise SingularDenominatorError("s.y = 0 with beta = +inf")
-        rho = 1.0 / pair.sty
-        if not math.isfinite(rho):
-            raise NonFiniteError(f"1/s.y overflowed: s.y = {pair.sty}")
-        return PenaltyScalars(beta, rho, rho)
+    # 1/inf is exactly 0, so at beta = +inf both denominators are s.y itself
     d1 = pair.sty + 1.0 / beta
     d2 = pair.sty + 2.0 / beta
     if d1 == 0.0 or d2 == 0.0:
@@ -203,42 +199,39 @@ def _checked_square(h, n, name="H"):
     return h
 
 
-def _symmetric_copy(h, n):
-    """A fresh C-contiguous float copy of H, which must be n x n and exactly symmetric."""
-    h = _checked_square(h, n)
-    if not np.array_equal(h, h.T, equal_nan=True):
-        raise DegenerateInputError("H must be exactly symmetric")
+def _checked_h_copy(h, n, name="H"):
+    """A fresh C-contiguous float copy of H, which must be n x n, finite and exactly symmetric."""
+    h = _checked_square(h, n, name)
+    if not np.isfinite(h).all():
+        raise NonFiniteError(f"{name} must be finite")
+    if not np.array_equal(h, h.T):
+        raise DegenerateInputError(f"{name} must be exactly symmetric")
     return h.copy()
 
 
 def bfgs_update(h, pair):
     """Classic BFGS update of the inverse approximation, returned as a new array.
 
-    H must be exactly symmetric (DegenerateInputError otherwise); the result
-    then is too.  Requires s.y > 0 (raises CurvatureViolationError
-    otherwise); identical, coefficient for coefficient, to spbfgs_update at
-    beta = +inf.
+    Requires s.y > 0 (CurvatureViolationError otherwise), then is
+    spbfgs_update at beta = +inf, whose scalars gamma = omega = 1/s.y are
+    BFGS's rho: the same kernel, the same bytes, and the same errors for H.
     """
-    h = _symmetric_copy(h, pair.n)
-    if pair.sty <= 0.0:
+    if not bfgs_curvature_ok(pair):
         raise CurvatureViolationError(f"BFGS update needs s.y > 0, got {pair.sty}")
-    rho = 1.0 / pair.sty
-    _penalized_rank_two_update(h, pair.s, pair.y, rho, rho, np.empty_like(h), np.empty_like(h))
-    if not np.isfinite(h).all():
-        raise NonFiniteError("BFGS update produced non-finite entries")
-    return h
+    return spbfgs_update(h, pair, compute_penalty_scalars(pair, math.inf))
 
 
 def spbfgs_update(h, pair, scalars, scratch=None):
     """Penalized rank-two update of the inverse approximation.
 
     Without scratch, H is left untouched and the update is returned as a
-    new array; H must be exactly symmetric (DegenerateInputError
-    otherwise).  With scratch = (a, b), two n x n float arrays distinct
-    from H and from each other, H must be a C-contiguous n x n float array,
-    symmetric as a precondition the caller owns (nothing here checks it);
-    H is overwritten with the update and returned, and a and b are
-    clobbered.  That is the driver's path: no n x n array is allocated.
+    new array; H must be n x n (BadDimensionError), finite (NonFiniteError)
+    and exactly symmetric (DegenerateInputError).  With scratch = (a, b),
+    two n x n float arrays distinct from H and from each other, H must be a
+    C-contiguous n x n float array, finite and symmetric as a precondition
+    the caller owns (nothing here checks it); H is overwritten with the
+    update and returned, and a and b are clobbered.  That is the driver's
+    path: no n x n array is allocated.
 
     For symmetric H the result is exactly symmetric.  It is positive
     definite (given H positive definite) iff s.y > -1/beta; callers that
@@ -247,7 +240,7 @@ def spbfgs_update(h, pair, scalars, scratch=None):
     holds it.
     """
     if scratch is None:
-        h = _symmetric_copy(h, pair.n)
+        h = _checked_h_copy(h, pair.n)
         scratch = (np.empty_like(h), np.empty_like(h))
     if scalars.gamma == 0.0 and scalars.omega == 0.0:
         return h

@@ -55,7 +55,7 @@ def test_c02_exact_limits():
     zero_exact = zero_inexact == 0
     report("c02 exact-limits",
            worst <= 1e-12 and zero_exact,
-           f"max|beta=inf - classic| {worst:.3e} <= 1e-12; "
+           f"max|beta=inf - product-form BFGS| {worst:.3e} <= 1e-12; "
            f"beta=0 returns H exactly: {zero_exact} (100 instances)")
 
 

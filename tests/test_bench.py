@@ -26,6 +26,7 @@ from spbfgs.bench import (
 from spbfgs.cli import main as cli_main
 from spbfgs.config import load_experiment
 from spbfgs.errors import ConfigError, EmptyCellError
+from spbfgs.linesearch import LineSearchConfig
 from spbfgs.noise import NoiseSpec
 from spbfgs.optimizer import IterationRecord, RunConfig
 from spbfgs.policy import PenaltyPolicy, propose_beta
@@ -264,6 +265,24 @@ class TestRunOne:
             "beale", "bfgs", 1e-6, 1e-4, 2)
         assert row["k"] == 1 and isinstance(row["curvature_failed"], bool)
 
+    @pytest.mark.parametrize("linesearch, expected", [
+        (LineSearchConfig(eps_armijo=None), 1e-3),  # the spec's default: the cell's eps_f
+        (LineSearchConfig(eps_armijo=0.5), 0.5),
+        (LineSearchConfig(), 0.0),
+    ])
+    def test_armijo_slack(self, tmp_path, monkeypatch, linesearch, expected):
+        seen = []
+        minimize = spbfgs.bench.minimize
+
+        def spy(problem, config):
+            seen.append(config.linesearch.eps_armijo)
+            return minimize(problem, config)
+
+        monkeypatch.setattr(spbfgs.bench, "minimize", spy)
+        spec = small_spec(tmp_path, linesearch=linesearch, cells=((1e-3, 1e-3),))
+        run_one(spec, spec.problems[0], "spbfgs", spec.cells[0], 0)
+        assert seen == [expected]
+
     def test_replicates_differ_under_noise(self, tmp_path):
         spec = small_spec(tmp_path)
         cell = NoiseSpec(1e-6, 1e-4)
@@ -404,7 +423,7 @@ class TestConfigFile:
         assert spec.master_seed == 11
         assert spec.budget_evals == 400
         assert spec.budget_iters is None
-        assert spec.eps_armijo_auto
+        assert spec.linesearch.eps_armijo is None
         assert spec.policy.kind == "scaled"
         assert spec.policy.scale == 1e8
 
@@ -418,7 +437,7 @@ class TestConfigFile:
         assert spec.budget_evals == 2000
         assert spec.linesearch.max_backtracks == 45
         assert spec.linesearch.tau == 0.5
-        assert spec.eps_armijo_auto
+        assert spec.linesearch.eps_armijo is None
 
     def test_keys_left_out_keep_the_spec_defaults(self, tmp_path):
         path = tmp_path / "min.ini"
@@ -430,7 +449,6 @@ class TestConfigFile:
         path.write_text("[experiment]\nproblems = cube\n\n"
                         "[linesearch]\neps_armijo = 0.5\n")
         spec = load_experiment(path)
-        assert not spec.eps_armijo_auto
         assert spec.linesearch.eps_armijo == 0.5
 
     def test_inline_comments(self, tmp_path):

@@ -130,6 +130,14 @@ class TestNoisyOracle:
         b = NoisyOracle(prob, NoiseSpec(eps_f=1.0), np.random.SeedSequence([1, 2, 3, 4]))
         assert a.f(prob.x0) == b.f(prob.x0)
 
+    def test_generator_used_as_is(self):
+        prob = get_problem("rosenbrock")
+        rng = np.random.default_rng(5)
+        oracle = NoisyOracle(prob, NoiseSpec(eps_f=1.0), rng)
+        assert oracle.rng is rng
+        expected = float(prob.f(prob.x0)) + (-1.0 + 2.0 * np.random.default_rng(5).random())
+        assert oracle.f(prob.x0) == expected
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             NoisyOracle(get_problem("rosenbrock"), NoiseSpec(), 0, budget_evals=-1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spbfgs import optimizer
+from spbfgs.errors import BadDimensionError, DegenerateInputError, NonFiniteError
 from spbfgs.linesearch import LineSearchConfig
 from spbfgs.noise import NoiseSpec
 from spbfgs.optimizer import (
@@ -302,8 +303,22 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(budget_evals=0)
 
+    def test_unset_armijo_slack_is_the_run_eps_f(self):
+        config = RunConfig(linesearch=LineSearchConfig(eps_armijo=None),
+                           noise=NoiseSpec(eps_f=1e-3), budget_iters=1)
+        assert config.linesearch.eps_armijo == 1e-3
+        # resolved once, like a scaled policy: replace keeps the resolved slack
+        renoised = dataclasses.replace(config, noise=NoiseSpec(eps_f=0.5))
+        assert renoised.linesearch.eps_armijo == 1e-3
+
+    def test_set_armijo_slack_kept(self):
+        noise = NoiseSpec(eps_f=1e-3)
+        assert RunConfig(noise=noise, budget_iters=1).linesearch.eps_armijo == 0.0
+        config = RunConfig(linesearch=LineSearchConfig(eps_armijo=0.5), noise=noise, budget_iters=1)
+        assert config.linesearch.eps_armijo == 0.5
+
     def test_h0_shape_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadDimensionError, match="h0"):
             minimize(quad2(), RunConfig(budget_iters=1, h0=np.eye(3)))
 
     def test_h0_identity_default_vs_explicit(self):
@@ -314,14 +329,14 @@ class TestRunConfig:
     @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
     def test_h0_must_be_exactly_symmetric(self, run):
         h0 = np.array([[1.0, 0.25], [np.nextafter(0.25, 1.0), 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(DegenerateInputError, match="h0 must be exactly symmetric"):
             run(quad2(), RunConfig(budget_iters=1, h0=h0))
 
     @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_h0_must_be_finite(self, run, bad):
         # a non-finite diagonal entry is symmetric, so the symmetry check alone passed it
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NonFiniteError, match="h0 must be finite"):
             run(get_problem("rosenbrock"), RunConfig(budget_evals=200, h0=[[bad, 0.0], [0.0, 1.0]]))
 
     def test_h0_left_untouched(self):

@@ -23,7 +23,7 @@ from spbfgs.updates import (
     spbfgs_inverse_update,
     spbfgs_update,
 )
-from spbfgs.verify import random_pair, random_spd
+from spbfgs.verify import product_form_bfgs, random_pair, random_spd
 
 
 def kernel_terms(h, s, y, gamma, omega):
@@ -201,10 +201,7 @@ class TestBfgsUpdate:
             n = rng.integers(1, 6)
             h = random_spd(rng, n)
             pair = random_pair(rng, n, sign=1)
-            rho = 1.0 / pair.sty
-            eye = np.eye(n)
-            v = eye - rho * np.outer(pair.y, pair.s)
-            expected = v.T @ h @ v + rho * np.outer(pair.s, pair.s)
+            expected = product_form_bfgs(h, pair)
             got = bfgs_update(h, pair)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
@@ -222,6 +219,14 @@ class TestBfgsUpdate:
             bfgs_update(np.eye(2), CurvaturePair([1.0, 0.0], [-1.0, 0.0]))
         with pytest.raises(CurvatureViolationError):
             bfgs_update(np.eye(2), CurvaturePair([1.0, 0.0], [0.0, 1.0]))
+
+    def test_nan_sty_is_a_curvature_violation(self):
+        # finite entries give s.y = inf - inf = nan only for some summation
+        # orders of the dot product, so the cached value is set directly
+        pair = CurvaturePair([1.0, 0.0], [1.0, 0.0])
+        object.__setattr__(pair, "sty", math.nan)
+        with pytest.raises(CurvatureViolationError):
+            bfgs_update(np.eye(2), pair)
 
     def test_wrong_shape(self):
         with pytest.raises(BadDimensionError):
@@ -397,6 +402,21 @@ class TestSymmetryPrecondition:
     def test_bfgs_update_rejects_asymmetric_h(self):
         with pytest.raises(DegenerateInputError):
             bfgs_update(self.nearly_symmetric(), CurvaturePair([1.0, 0.0], [1.0, 1.0]))
+
+
+class TestFinitePrecondition:
+    PAIR = CurvaturePair([1.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("update", [
+        lambda h, pair: spbfgs_update(h, pair, compute_penalty_scalars(pair, 0.0)),
+        lambda h, pair: spbfgs_update(h, pair, compute_penalty_scalars(pair, 1.0)),
+        bfgs_update,
+    ], ids=["beta=0", "beta=1", "bfgs"])
+    def test_copying_updates_reject_nonfinite_h(self, update, bad):
+        # the input is blamed, not the update; at beta = 0 nothing else looks at H
+        with pytest.raises(NonFiniteError, match="^H must be finite$"):
+            update(np.array([[bad, 0.0], [0.0, 1.0]]), self.PAIR)
 
 
 class TestInverseUpdate:
