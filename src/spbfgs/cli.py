@@ -5,10 +5,12 @@
     spbfgs-bench list-problems            built-in problem table
 
 Exit codes: 0 success, 1 failed runs or failed checks, 2 bad usage or
-configuration.  For `run`, each flag in FLAGS and each environment variable
-in VARIABLES sets one config key, parsed and checked exactly as if it were
-written in the file.  The file comes first, then the variables, then the
-flags; the later source wins.
+configuration.  When the reader of stdout goes away early
+(`spbfgs-bench verify | head -2`), the command stops quietly with exit 1,
+because its output is incomplete.  For `run`, each flag in FLAGS and each
+environment variable in VARIABLES sets one config key, parsed and checked
+exactly as if it were written in the file.  The file comes first, then the
+variables, then the flags; the later source wins.
 """
 
 import argparse
@@ -96,13 +98,27 @@ def _cmd_list_problems():
     return 0
 
 
-def main(argv=None):
-    args = _build_parser().parse_args(argv)
+def _dispatch(args):
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "verify":
         return 0 if run_all() else 1
     return _cmd_list_problems()
+
+
+def main(argv=None):
+    args = _build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+    except BrokenPipeError:
+        # point stdout at devnull, so the exit-time flush of what is still
+        # buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

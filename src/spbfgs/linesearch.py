@@ -9,11 +9,19 @@ allowance eps_armijo:
 max_backtracks counts trials: alpha runs over alpha0 * tau^j for
 j = 0 .. max_backtracks-1 and exhaustion returns alpha = 0 (the iteration
 still counts, no step is taken).
+
+For a problem whose f evaluates stacked points, the true values of the
+next `block` trial points can be computed in one call and then measured
+one at a time, in order, until one is accepted.  The trials consumed, their
+noise draws and the result are those of the one-at-a-time search; rows
+past the accepted one cost one stacked evaluation and nothing else.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,17 +50,38 @@ def armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
     return f_trial <= f_ref + cfg.c1 * alpha * gdotp + 2.0 * cfg.eps_armijo
 
 
-def backtrack(eval_f, x, p, f_ref, gdotp, cfg):
+def backtrack(eval_f, x, p, f_ref, gdotp, cfg, true_f=None, block=1):
     """Geometric backtracking from alpha0.
 
     eval_f is charged once per trial (budget accounting happens inside the
     oracle it wraps).  Returns (alpha, f_new, n_trials); exhaustion gives
     (0.0, f_ref, max_backtracks).
+
+    With true_f (a problem's stacked f) and block > 1, the trial points are
+    formed block at a time as one (block, n) array, true_f gives their true
+    values in one call, and eval_f(x_j, phi_j) measures them in order; a
+    block with no accepted row is followed by another of the same size.
+    Each trial point and alpha is bitwise the one the plain loop forms.
     """
     alpha = cfg.alpha0
-    for trial in range(1, cfg.max_backtracks + 1):
-        f_trial = eval_f(x + alpha * p)
-        if armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
-            return alpha, f_trial, trial
-        alpha *= cfg.tau
+    if true_f is None or block <= 1:
+        for trial in range(1, cfg.max_backtracks + 1):
+            f_trial = eval_f(x + alpha * p)
+            if armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
+                return alpha, f_trial, trial
+            alpha *= cfg.tau
+        return 0.0, f_ref, cfg.max_backtracks
+    trial = 0
+    while trial < cfg.max_backtracks:
+        alphas = []
+        for _ in range(min(block, cfg.max_backtracks - trial)):
+            alphas.append(alpha)
+            alpha *= cfg.tau
+        points = x + np.array(alphas)[:, None] * p
+        phis = true_f(points)
+        for alpha_j, x_j, phi_j in zip(alphas, points, phis):
+            trial += 1
+            f_trial = eval_f(x_j, phi_j)
+            if armijo_ok(f_trial, f_ref, alpha_j, gdotp, cfg):
+                return alpha_j, f_trial, trial
     return 0.0, f_ref, cfg.max_backtracks

@@ -10,9 +10,11 @@ The oracle also keeps a noise-free side channel: it records the smallest
 true value seen at any evaluated point (phi_best), which is what benchmark
 accuracy is measured against, and the true value and true gradient of its
 latest measurements (last_phi, last_grad), which the driver's per-iterate
-records reuse instead of evaluating the problem again.  Only function
-evaluations count toward the optional evaluation budget; gradient calls are
-free.
+records reuse instead of evaluating the problem again.  A caller that
+already holds the true value at x passes it to f(x, phi): the measurement
+draws fresh noise and counts as usual, but the problem is not called.
+Only function evaluations count toward the optional evaluation budget;
+gradient calls are free.
 
 The oracle does not touch numpy's floating-point error state: a caller
 that expects overflow (trial points far from a minimizer) enters
@@ -75,12 +77,20 @@ class NoisyOracle:
         self.last_phi = math.nan  # true value at the latest f measurement
         self.last_grad = None  # true gradient at the latest grad measurement
 
-    def f(self, x):
-        """One noisy function measurement; raises EvaluationBudgetError when spent."""
+    def f(self, x, phi=None):
+        """One noisy function measurement; raises EvaluationBudgetError when spent.
+
+        phi is the true value at x when the caller already has it (a row of
+        a stacked evaluation, or the accepted trial the oracle measured
+        last); the problem is then not called.  The measurement is charged,
+        tracked and noised exactly as one that calls the problem.
+        """
         if self.budget_evals is not None and self.n_f_evals >= self.budget_evals:
             raise EvaluationBudgetError(f"evaluation budget of {self.budget_evals} exhausted")
         self.n_f_evals += 1
-        phi = self.last_phi = float(self.problem.f(x))
+        if phi is None:
+            phi = self.problem.f(x)
+        phi = self.last_phi = float(phi)
         if math.isfinite(phi) and phi < self.phi_best:
             self.phi_best = phi
             self.x_best = np.array(x, dtype=float, copy=True)

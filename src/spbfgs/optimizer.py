@@ -8,6 +8,15 @@ the baseline admission rule.  An exhausted line search keeps the iterate
 (alpha = 0, step skipped without consulting the policy) and the iteration
 still counts.
 
+The true f is computed once per point.  After a step, the new iterate is
+bitwise the accepted trial point, whose true value the oracle has just
+computed, so the fresh measurement there (new noise, one more evaluation
+charged) reuses that value instead of calling the problem again.  For a
+problem with a stacked f (Problem.stacked_f), the line search computes the
+true values of its trials in blocks as long as the previous search's trial
+count; see linesearch.backtrack.  Both leave every output bitwise as it is
+with one problem call per measurement.
+
 H is updated in place, with two n x n scratch arrays allocated once per
 run, so an iteration allocates nothing of size n x n.  The kernel keeps a
 symmetric H exactly symmetric without a symmetrizing pass, so h0 is
@@ -135,6 +144,8 @@ def _run(problem, config, method, baseline):
     scratch = (np.empty((n, n)), np.empty((n, n)))
     keep_records = config.record_iterations
     rec = None  # the latest record, if any
+    true_f = problem.f if problem.stacked_f else None
+    block = 1  # trials the previous line search took: the next one's block size
 
     def state_record(k, f_measured, phi):
         # side channel: the true value and gradient the oracle computed at x
@@ -180,9 +191,11 @@ def _run(problem, config, method, baseline):
             p = -(h @ g)
             gdotp = float(g @ p)
             try:
-                alpha, f_acc, n_trials = backtrack(oracle.f, x, p, f_meas, gdotp, config.linesearch)
+                alpha, f_acc, n_trials = backtrack(oracle.f, x, p, f_meas, gdotp,
+                                                   config.linesearch, true_f, block)
             except EvaluationBudgetError:
                 break
+            block = n_trials
             if keep_records:
                 rec.alpha = alpha
                 rec.f_accepted = f_acc
@@ -240,7 +253,8 @@ def _run(problem, config, method, baseline):
             x, g = x_new, g_new
             k += 1
             try:
-                f_meas = oracle.f(x)
+                # after a step x is the accepted trial, the oracle's last point
+                f_meas = oracle.f(x, oracle.last_phi) if alpha > 0.0 else oracle.f(x)
             except EvaluationBudgetError:
                 if keep_records:
                     # the budget ran out before the oracle evaluated x

@@ -3,6 +3,13 @@
 Formulas follow the classical test-set literature; minima (phi_star) are
 analytic.  Two entries are documented variants where the historical source
 admits several forms: sineval and snail (see their docstrings).
+
+The three sized problems (srosenbr, genrose, extrosnb) have a stacked f:
+it takes points stacked as (..., n) and returns their values as (...),
+each bitwise the value f gives the point alone, so that a line search can
+evaluate several trial points in one call (Problem.stacked_f).  The fixed-
+size problems take one point: their math.* and numpy-scalar arithmetic has
+no bitwise-equal array form.
 """
 
 import math
@@ -29,6 +36,7 @@ class Problem:
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     strong_convexity: Optional[tuple] = None  # (m, M) when globally strongly convex
     notes: str = ""
+    stacked_f: bool = False  # f maps (..., n) to (...), row by row as for one point
 
 
 def finite_diff_grad(f, x, h=1e-6):
@@ -41,6 +49,18 @@ def finite_diff_grad(f, x, h=1e-6):
         e[i] = step
         g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
     return g
+
+
+def _scalar_square(d):
+    """d ** 2 entry by entry as a numpy scalar squares: through libm pow.
+
+    An array's ** 2 is d * d, which rounds differently from pow(d, 2) at
+    about one point in a thousand, so a stacked f squares its scalar terms
+    one at a time to give each row the value of the one-point f.
+    """
+    if d.ndim == 0:
+        return d ** 2
+    return np.array([v ** 2 for v in d.flat]).reshape(d.shape)
 
 
 def quadratic_ill():
@@ -100,9 +120,9 @@ def srosenbr(n=10):
         raise BadDimensionError(f"srosenbr needs even n >= 2, got {n}")
 
     def f(x):
-        xo, xe = x[0::2], x[1::2]
+        xo, xe = x[..., 0::2], x[..., 1::2]
         t = xe - xo ** 2
-        return float(np.sum(100.0 * t ** 2 + (1.0 - xo) ** 2))
+        return np.sum(100.0 * t ** 2 + (1.0 - xo) ** 2, axis=-1)
 
     def grad(x):
         g = np.zeros_like(x)
@@ -113,7 +133,7 @@ def srosenbr(n=10):
         return g
 
     x0 = np.tile([-1.2, 1.0], n // 2)
-    return Problem("srosenbr", n, f, grad, x0, 0.0)
+    return Problem("srosenbr", n, f, grad, x0, 0.0, stacked_f=True)
 
 
 def beale():
@@ -247,8 +267,8 @@ def genrose(n=5):
         raise BadDimensionError(f"genrose needs n >= 2, got {n}")
 
     def f(x):
-        t = x[1:] - x[:-1] ** 2
-        return float(1.0 + np.sum(100.0 * t ** 2 + (x[1:] - 1.0) ** 2))
+        t = x[..., 1:] - x[..., :-1] ** 2
+        return 1.0 + np.sum(100.0 * t ** 2 + (x[..., 1:] - 1.0) ** 2, axis=-1)
 
     def grad(x):
         g = np.zeros_like(x)
@@ -258,7 +278,7 @@ def genrose(n=5):
         return g
 
     x0 = np.arange(1, n + 1) / (n + 1.0)
-    return Problem("genrose", n, f, grad, x0, 1.0)
+    return Problem("genrose", n, f, grad, x0, 1.0, stacked_f=True)
 
 
 def extrosnb(n=10):
@@ -267,8 +287,8 @@ def extrosnb(n=10):
         raise BadDimensionError(f"extrosnb needs n >= 2, got {n}")
 
     def f(x):
-        t = x[1:] - x[:-1] ** 2
-        return float((x[0] - 1.0) ** 2 + np.sum(100.0 * t ** 2))
+        t = x[..., 1:] - x[..., :-1] ** 2
+        return _scalar_square(x[..., 0] - 1.0) + np.sum(100.0 * t ** 2, axis=-1)
 
     def grad(x):
         g = np.zeros_like(x)
@@ -278,7 +298,7 @@ def extrosnb(n=10):
         g[:-1] += -400.0 * x[:-1] * t
         return g
 
-    return Problem("extrosnb", n, f, grad, np.full(n, -1.0), 0.0)
+    return Problem("extrosnb", n, f, grad, np.full(n, -1.0), 0.0, stacked_f=True)
 
 
 def sineval():

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,6 +512,24 @@ class TestCli:
         assert cli_main(["verify"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok") >= 5
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_quietly(self, unbuffered):
+        # `spbfgs-bench verify | head -2`, with the reader gone before the
+        # first line: no traceback, exit 1, whether stdout is line-written
+        # (PYTHONUNBUFFERED) or flushed at the end
+        src = str(Path(spbfgs.verify.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "spbfgs.cli", "verify"], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1
 
     def test_verify_reports_a_broken_check(self, capsys, monkeypatch):
         update = spbfgs.verify.spbfgs_update

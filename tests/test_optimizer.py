@@ -243,6 +243,19 @@ def counting(problem):
     return dataclasses.replace(problem, f=f, grad=grad), calls
 
 
+def reused_values(trace):
+    """Measurements that took the accepted trial's true value from the oracle.
+
+    Iterate k + 1 is measured at the accepted trial of iteration k when that
+    iteration stepped (alpha > 0), and the measurement passes the oracle's
+    last true value instead of calling the problem; a final iterate the
+    spent budget left unmeasured (f_measured NaN) reused nothing.
+    """
+    recs = trace.records
+    return sum(prev.alpha is not None and prev.alpha > 0.0 and not math.isnan(cur.f_measured)
+               for prev, cur in zip(recs, recs[1:]))
+
+
 RESULT_FIELDS = ("phi_best", "n_iterations", "n_f_evals", "n_g_evals",
                  "n_curvature_failures", "n_zero_steps", "failed", "failure")
 
@@ -252,13 +265,19 @@ class TestRecordsOff:
     @pytest.mark.parametrize("noise", [NoiseSpec(0.0, 0.0), NoiseSpec(1e-6, 1e-4),
                                        NoiseSpec(0.0, 1e-1)])
     def test_no_side_channel_calls(self, name, noise):
-        # without records the problem is evaluated only through the oracle
+        # without records the problem is evaluated only through the oracle,
+        # once per measurement that does not reuse the accepted trial's value
         for run in (minimize, minimize_baseline_bfgs):
             prob, calls = counting(get_problem(name))
             cfg = RunConfig(noise=noise, budget_evals=300, seed=4, record_iterations=False)
             trace = run(prob, cfg)
             assert trace.records == []
-            assert calls == {"f": trace.n_f_evals, "grad": trace.n_g_evals}
+            # the same run with records, to count its post-step measurements
+            twin = run(get_problem(name), dataclasses.replace(cfg, record_iterations=True))
+            assert (twin.n_f_evals, twin.n_iterations) == (trace.n_f_evals, trace.n_iterations)
+            reused = reused_values(twin)
+            assert reused > 0
+            assert calls == {"f": trace.n_f_evals - reused, "grad": trace.n_g_evals}
 
     @pytest.mark.parametrize("policy", [
         PenaltyPolicy(kind="scaled", scale=1e8, offset=1e-10),
@@ -287,11 +306,48 @@ class TestRecordsOff:
             trace = minimize(prob, RunConfig(noise=NoiseSpec(1e-6, 1e-4), budget_evals=budget))
             unmeasured = math.isnan(trace.final_record.f_measured)
             unmeasured_ends += unmeasured
-            assert calls == {"f": trace.n_f_evals + unmeasured, "grad": trace.n_g_evals}
+            reused = reused_values(trace)
+            assert calls == {"f": trace.n_f_evals + unmeasured - reused, "grad": trace.n_g_evals}
             for rec in trace.records:
                 assert rec.phi == prob.f(rec.x)
                 assert rec.grad_norm == float(np.linalg.norm(prob.grad(rec.x)))
         assert 0 < unmeasured_ends < 10
+
+
+def record_fields(trace):
+    """Every field of every record, arrays by their bytes and floats by repr."""
+    return [{key: value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+             for key, value in vars(rec).items()} for rec in trace.records]
+
+
+class TestStackedLineSearch:
+    """A stacked problem's run is bitwise the run of the same problem one point at a time."""
+
+    @pytest.mark.parametrize("name", ["srosenbr", "genrose", "extrosnb"])
+    @pytest.mark.parametrize("linesearch", [LineSearchConfig(eps_armijo=None),
+                                            LineSearchConfig(eps_armijo=None, max_backtracks=3)])
+    def test_same_run_as_one_point_at_a_time(self, name, linesearch):
+        stacked = get_problem(name, 32)
+        one_point = dataclasses.replace(stacked, stacked_f=False)
+        ended_in_a_search = exhausted = 0
+        for budget in range(150, 162):
+            for noise in (NoiseSpec(0.0, 0.0), NoiseSpec(1e-4, 1e-2)):
+                for run in (minimize, minimize_baseline_bfgs):
+                    cfg = RunConfig(noise=noise, linesearch=linesearch, budget_evals=budget,
+                                    seed=budget)
+                    got, want = run(stacked, cfg), run(one_point, cfg)
+                    for attr in RESULT_FIELDS:
+                        assert getattr(got, attr) == getattr(want, attr), attr
+                    assert got.x_best.tobytes() == want.x_best.tobytes()
+                    assert record_fields(got) == record_fields(want)
+                    recs = got.records
+                    # the budget ran out inside a search whose block was > 1
+                    ended_in_a_search += (recs[-1].alpha is None and len(recs) > 1
+                                          and recs[-2].n_trials > 1)
+                    exhausted += got.n_zero_steps > 0
+        assert ended_in_a_search > 0
+        if linesearch.max_backtracks == 3:
+            assert exhausted > 0
 
 
 class TestRunConfig:

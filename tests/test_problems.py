@@ -4,9 +4,14 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spbfgs.errors import BadDimensionError
 from spbfgs.problems import finite_diff_grad, get_problem, list_problems
+
+STACKED = ("srosenbr", "genrose", "extrosnb")
 
 ALL_NAMES = list_problems()
 
@@ -165,3 +170,63 @@ def test_genrose_minimum_value_is_one():
     prob = get_problem("genrose")
     assert prob.phi_star == 1.0
     assert prob.f(np.ones(prob.n)) == 1.0
+
+
+def bitwise(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def one_at_a_time(problem, x):
+    return np.array([float(problem.f(row)) for row in x])
+
+
+# moderate entries, and entries whose squares overflow to inf
+entries = st.one_of(st.floats(min_value=-10.0, max_value=10.0),
+                    st.floats(min_value=-1e200, max_value=1e200))
+
+
+@st.composite
+def stacks(draw):
+    """(problem, x): a sized problem and k = 1..12 points stacked as (k, n)."""
+    problem = get_problem(draw(st.sampled_from(STACKED)), draw(st.sampled_from([2, 4, 6, 10, 18])))
+    k = draw(st.integers(min_value=1, max_value=12))
+    return problem, draw(arrays(float, (k, problem.n), elements=entries))
+
+
+class TestStackedF:
+    def test_which_problems_stack(self):
+        assert {name for name in list_problems() if get_problem(name).stacked_f} == set(STACKED)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(stacks())
+    def test_rows_equal_one_point_values_bitwise(self, case):
+        problem, x = case
+        with np.errstate(all="ignore"):
+            stacked = problem.f(x)
+            rows = one_at_a_time(problem, x)
+        assert stacked.shape == (x.shape[0],)
+        assert np.array_equal(bitwise(stacked), bitwise(rows))
+
+    @pytest.mark.parametrize("n", [256, 258])
+    @pytest.mark.parametrize("name", STACKED)
+    def test_large_n_rows_equal_one_point_values_bitwise(self, name, n):
+        # long pairwise sums; and rows on the valley x_(i+1) = x_i^2, where
+        # extrosnb's value is its leading square alone, which as an array
+        # square rounds differently from a numpy scalar's at ~1 point in 1000
+        problem = get_problem(name, n)
+        rng = np.random.default_rng(n)
+        x = problem.x0 + rng.standard_normal((4000, n)) * 10.0 ** rng.uniform(-8, 1, (4000, 1))
+        x[::97] *= 1e160  # rows that overflow to inf
+        x[1::2, 0] = rng.uniform(-1.0, 1.0, 2000)
+        for i in range(1, n):
+            x[1::2, i] = x[1::2, i - 1] ** 2
+        with np.errstate(all="ignore"):
+            stacked = problem.f(x.reshape(40, 100, n))
+            rows = one_at_a_time(problem, x)
+        assert np.isinf(rows).any()
+        assert np.array_equal(bitwise(stacked).ravel(), bitwise(rows))
+
+    @pytest.mark.parametrize("name", STACKED)
+    def test_one_point_gives_a_scalar(self, name):
+        problem = get_problem(name, 6)
+        assert np.ndim(problem.f(problem.x0)) == 0
