@@ -22,7 +22,6 @@ from .bench import (
 )
 from .config import load_experiment
 from .diagnostics import (
-    in_noise_region,
     noise_region_threshold,
     qlinear_envelope_holds,
     scaled_condition_number,
@@ -48,13 +47,12 @@ from .optimizer import (
     IterationRecord,
     RunConfig,
     RunTrace,
-    fixed_step_descent,
     minimize,
     minimize_baseline_bfgs,
 )
 from .oracle import make_weight_matrix, oracle_penalized_qp
 from .policy import SKIP, UPDATE, PenaltyPolicy, baseline_update_ok, propose_beta, resolve_beta
-from .problems import Problem, finite_diff_grad, get_problem, list_problems
+from .problems import Problem, get_problem, list_problems
 from .updates import (
     CurvaturePair,
     PenaltyScalars,

@@ -2,8 +2,17 @@
 
 Covers the a-priori trace bounds on the updated matrices, the noise-floor
 neighbourhood for strongly convex problems, the Q-linear decrease envelope
-for fixed-step descent outside that neighbourhood, and the scaled condition
+for a fixed-step run outside that neighbourhood, and the scaled condition
 number of H against the true Hessian.
+
+A fixed-step run is gradient descent with H = I, run through
+optimizer.minimize: PenaltyPolicy(kind="constant", beta=0.0) keeps H = I,
+LineSearchConfig(alpha0=alpha, max_backtracks=1, eps_armijo=math.inf)
+accepts its one trial always, budget_iters counts the steps, and the
+records' phi are the true values.  At eps_f = 0 the f measurements draw
+nothing, so the iterates are bitwise x <- x - alpha (grad(x) +
+sample_ball(rng, n, eps_g)) with rng = np.random.default_rng(seed); at
+eps_f > 0 the f draws interleave with the gradient draws and they differ.
 """
 
 import math
@@ -11,6 +20,9 @@ import math
 import numpy as np
 
 from .errors import CurvatureViolationError, DegenerateInputError, MissingMetadataError
+
+# qlinear_envelope_holds allows each step this relative slack on the gap
+_REL_SLACK = 1e-12
 
 
 def trace_bound_h(h, pair, scalars):
@@ -61,21 +73,17 @@ def noise_region_threshold(problem, psi, big_psi, eps_g):
     return problem.phi_star + 0.5 / m * (big_psi * eps_g / psi) ** 2
 
 
-def in_noise_region(problem, x, psi, big_psi, eps_g):
-    """True when phi(x) is at or below the noise-region threshold."""
-    return float(problem.f(x)) <= noise_region_threshold(problem, psi, big_psi, eps_g)
-
-
-def qlinear_envelope_holds(phis, alpha, problem, psi, big_psi, eps_g, rel_slack=1e-12):
+def qlinear_envelope_holds(phis, alpha, problem, psi, big_psi, eps_g):
     """Check the per-step decrease envelope for a fixed-step run.
 
     For every k whose iterate lies strictly outside the noise region
     (phis[k] > threshold) the envelope demands
 
-        phis[k+1] - C <= (1 - alpha psi m) (phis[k] - C),   C = threshold.
+        phis[k+1] - C <= (1 - alpha psi m) (phis[k] - C),   C = threshold,
 
-    Steps starting inside the region are exempt.  Returns (ok, violations)
-    where violations lists the offending step indices.
+    up to a relative slack of 1e-12 of the gap phis[k] - C.  Steps starting
+    inside the region are exempt.  Returns (ok, violations) where
+    violations lists the offending step indices.
     """
     if problem.strong_convexity is None:
         raise MissingMetadataError(f"problem {problem.name!r} lacks strong convexity constants")
@@ -88,7 +96,7 @@ def qlinear_envelope_holds(phis, alpha, problem, psi, big_psi, eps_g, rel_slack=
         if phis[k] <= c:
             continue
         gap = phis[k] - c
-        if phis[k + 1] - c > factor * gap + rel_slack * abs(gap):
+        if phis[k + 1] - c > factor * gap + _REL_SLACK * abs(gap):
             violations.append(k)
     return len(violations) == 0, violations
 

@@ -272,25 +272,3 @@ def minimize_baseline_bfgs(problem, config):
     """Minimize with the classic update guarded by config.policy.skip_rule."""
     return _run(problem, config, method="bfgs", baseline=True)
 
-
-def fixed_step_descent(problem, noise, alpha, n_iters, seed):
-    """Gradient descent with a constant step on noisy gradients (H = I).
-
-    Exists to exercise the fixed-step theory: returns (xs, phis) where
-    xs[k] is iterate k (shape (n_iters+1, n)) and phis[k] its true value.
-    No function measurements are made, only gradients.
-    """
-    if alpha <= 0.0 or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    oracle = NoisyOracle(problem, noise, seed)
-    x = np.array(problem.x0, dtype=float, copy=True)
-    xs = np.empty((n_iters + 1, problem.n))
-    phis = np.empty(n_iters + 1)
-    with np.errstate(all="ignore"):
-        for k in range(n_iters):
-            xs[k] = x
-            phis[k] = problem.f(x)
-            x = x - alpha * oracle.grad(x)
-        xs[n_iters] = x
-        phis[n_iters] = problem.f(x)
-    return xs, phis

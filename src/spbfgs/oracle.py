@@ -57,10 +57,6 @@ def _sqrtm_spd(w):
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _vech_indices(n):
-    return np.triu_indices(n)
-
-
 def _lstsq_extended(a, b):
     """Dense least squares by Householder QR in extended precision.
 
@@ -140,7 +136,7 @@ def _sqrtm_extended(w_ld):
 
 def _expand_matrix(n):
     """The n^2 x n(n+1)/2 map from stacked upper-triangle entries to vec(Z)."""
-    rows_i, cols_j = _vech_indices(n)
+    rows_i, cols_j = np.triu_indices(n)
     m = rows_i.shape[0]
     p = np.zeros((n * n, m))
     for k in range(m):

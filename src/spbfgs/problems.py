@@ -39,18 +39,6 @@ class Problem:
     stacked_f: bool = False  # f maps (..., n) to (...), row by row as for one point
 
 
-def finite_diff_grad(f, x, h=1e-6):
-    """Central-difference gradient with per-coordinate step h * (1 + |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        step = h * (1.0 + abs(x[i]))
-        e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return g
-
-
 def _scalar_square(d):
     """d ** 2 entry by entry as a numpy scalar squares: through libm pow.
 

@@ -60,6 +60,9 @@ from .errors import (
     SingularDenominatorError,
 )
 
+# is_positive_definite fails a pivot at or below this absolute tolerance
+_PIVOT_TOL = 1e-12
+
 
 def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
     """Overwrite h with H + s u^T + u s^T, u = (gamma*(1 + omega*y.Hy)/2) s - omega Hy.
@@ -90,11 +93,11 @@ def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
     h += a
 
 
-def is_positive_definite(a, pivot_tol=1e-12):
-    """Cholesky-style test: success iff every pivot exceeds pivot_tol.
+def is_positive_definite(a):
+    """Cholesky-style test: success iff every pivot exceeds 1e-12.
 
     Runs a plain (unpivoted-order) Cholesky factorization and fails as soon
-    as a diagonal pivot is non-finite or <= pivot_tol.
+    as a diagonal pivot is non-finite or <= 1e-12 (an absolute tolerance).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -103,7 +106,7 @@ def is_positive_definite(a, pivot_tol=1e-12):
     lower = np.zeros_like(a)
     for k in range(n):
         d = a[k, k] - lower[k, :k] @ lower[k, :k]
-        if not math.isfinite(d) or d <= pivot_tol:
+        if not math.isfinite(d) or d <= _PIVOT_TOL:
             return False
         lower[k, k] = math.sqrt(d)
         if k + 1 < n:

@@ -16,7 +16,7 @@ from spbfgs.bench import ExperimentSpec, ProblemRef, run_experiment, run_seed
 from spbfgs.diagnostics import noise_region_threshold, qlinear_envelope_holds
 from spbfgs.linesearch import LineSearchConfig
 from spbfgs.noise import NoiseSpec
-from spbfgs.optimizer import RunConfig, fixed_step_descent, minimize, minimize_baseline_bfgs
+from spbfgs.optimizer import RunConfig, minimize, minimize_baseline_bfgs
 from spbfgs.policy import PenaltyPolicy
 from spbfgs.problems import get_problem, list_problems
 from spbfgs.verify import (
@@ -177,19 +177,23 @@ def test_c08_relative_noise_sweep(tmp_path):
 
 
 def test_c09_fixed_step_envelope():
+    # gradient descent through minimize: beta = 0 keeps H = I, and the one
+    # trial at alpha is always accepted (diagnostics' module docstring)
     prob = get_problem("quadratic_ill")
     threshold = noise_region_threshold(prob, 1.0, 1.0, 1.0)
     alpha = 1e-4  # psi / (big_psi^2 M) for psi = big_psi = 1, M = 1e4
-    total_violations = 0
-    for seed in range(30):
-        _, phis = fixed_step_descent(prob, NoiseSpec(0.0, 1.0), alpha, 200, seed=seed)
-        ok, violations = qlinear_envelope_holds(phis, alpha, prob, 1.0, 1.0, 1.0)
-        total_violations += len(violations)
+    policy = PenaltyPolicy(kind="constant", beta=0.0)
+    linesearch = LineSearchConfig(alpha0=alpha, max_backtracks=1, eps_armijo=math.inf)
     near = replace(prob, x0=np.array([100.0, 9.0, 0.5, 0.05]))  # phi = 115.5
-    for seed in range(30):
-        _, phis = fixed_step_descent(near, NoiseSpec(0.0, 1.0), alpha, 500, seed=seed)
-        ok, violations = qlinear_envelope_holds(phis, alpha, near, 1.0, 1.0, 1.0)
-        total_violations += len(violations)
+    total_violations = 0
+    for problem, n_iters in ((prob, 200), (near, 500)):
+        for seed in range(30):
+            config = RunConfig(policy=policy, linesearch=linesearch, noise=NoiseSpec(0.0, 1.0),
+                               budget_iters=n_iters, seed=seed)
+            trace = minimize(problem, config)
+            phis = [r.phi for r in trace.records]
+            ok, violations = qlinear_envelope_holds(phis, alpha, problem, 1.0, 1.0, 1.0)
+            total_violations += len(violations)
     report("c09 fixed-step-envelope",
            threshold == 50.0 and total_violations == 0,
            f"noise-region threshold {threshold} == 50.0; {total_violations} "

@@ -195,6 +195,8 @@ class TestConfigValidation:
             {"c1": 1.0},
             {"eps_armijo": -0.1},
             {"max_backtracks": 0},
+            {"alpha0": math.inf},
+            {"alpha0": math.nan},
         ],
     )
     def test_rejects(self, kwargs):

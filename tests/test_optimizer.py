@@ -11,13 +11,8 @@ import pytest
 from spbfgs import optimizer
 from spbfgs.errors import BadDimensionError, DegenerateInputError, NonFiniteError
 from spbfgs.linesearch import LineSearchConfig
-from spbfgs.noise import NoiseSpec
-from spbfgs.optimizer import (
-    RunConfig,
-    fixed_step_descent,
-    minimize,
-    minimize_baseline_bfgs,
-)
+from spbfgs.noise import NoiseSpec, sample_ball
+from spbfgs.optimizer import RunConfig, minimize, minimize_baseline_bfgs
 from spbfgs.policy import PenaltyPolicy
 from spbfgs.problems import Problem, get_problem
 
@@ -432,41 +427,32 @@ class TestInPlaceUpdate:
         assert max(allocated) < n * n + 64 * n
 
 
-class TestFixedStepDescent:
-    def test_shapes(self):
-        xs, phis = fixed_step_descent(quad2(), NoiseSpec(), 0.1, 25, seed=0)
-        assert xs.shape == (26, 2)
-        assert phis.shape == (26,)
+def fixed_step_config(alpha, noise, n_iters, seed):
+    """minimize as gradient descent with constant step alpha and H = I."""
+    return RunConfig(policy=PenaltyPolicy(kind="constant", beta=0.0),
+                     linesearch=LineSearchConfig(alpha0=alpha, max_backtracks=1,
+                                                 eps_armijo=math.inf),
+                     noise=noise, budget_iters=n_iters, seed=seed)
 
-    def test_noiseless_matches_hand_iteration(self):
+
+class TestFixedStepConfiguration:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_records_replay_hand_iteration(self, seed):
+        # at eps_f = 0 only the gradients draw from the run's Generator
         prob = quad2()
-        xs, _ = fixed_step_descent(prob, NoiseSpec(), 0.1, 10, seed=0)
+        alpha, eps_g, n_iters = 0.1, 0.5, 25
+        trace = minimize(prob, fixed_step_config(alpha, NoiseSpec(0.0, eps_g), n_iters, seed))
+        assert len(trace.records) == n_iters + 1
+        rng = np.random.default_rng(seed)
         x = prob.x0.copy()
-        for k in range(10):
-            np.testing.assert_array_equal(xs[k], x)
-            x = x - 0.1 * prob.grad(x)
-        np.testing.assert_array_equal(xs[10], x)
+        for rec in trace.records:
+            assert rec.x.tobytes() == x.tobytes()
+            assert np.float64(rec.phi).tobytes() == np.float64(prob.f(x)).tobytes()
+            if rec.k < n_iters:
+                assert (rec.alpha, rec.n_trials, rec.trace_h) == (alpha, 1, 2.0)
+            x = x - alpha * (prob.grad(x) + sample_ball(rng, prob.n, eps_g))
 
-    def test_descends_on_quadratic(self):
+    def test_descends_noiseless(self):
         # slowest mode contracts by 0.9 per step: 120 steps reach ~1e-11
-        _, phis = fixed_step_descent(quad2(), NoiseSpec(), 0.1, 120, seed=0)
-        assert phis[-1] < 1e-6 * phis[0]
-
-    def test_invalid_alpha(self):
-        for alpha in (0.0, -1.0, math.inf):
-            with pytest.raises(ValueError):
-                fixed_step_descent(quad2(), NoiseSpec(), alpha, 5, seed=0)
-
-    def test_uses_no_function_evaluations(self):
-        prob = quad2()
-        calls = {"f": 0}
-        orig_f = prob.f
-
-        def counting_f(x):
-            calls["f"] += 1
-            return orig_f(x)
-
-        counted = dataclasses.replace(prob, f=counting_f)
-        fixed_step_descent(counted, NoiseSpec(), 0.1, 5, seed=0)
-        # only the trace's own true-value bookkeeping reads f, never the oracle
-        assert calls["f"] == 6
+        trace = minimize(quad2(), fixed_step_config(0.1, NoiseSpec(), 120, seed=0))
+        assert trace.records[-1].phi < 1e-6 * trace.records[0].phi
