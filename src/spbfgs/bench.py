@@ -24,24 +24,29 @@ relative factors; the resolved absolute levels scale with |phi(x0)| and
 ||grad phi(x0)|| per problem; each run's RunConfig resolves the spec's
 policy and Armijo slack (eps_armijo = None, the default) against them.
 Optional long-format per-iteration traces (one row per iteration per run)
-support convergence and penalty plots.
+support convergence and penalty plots.  A traced run keeps its rows as one
+TraceRows: the five run values once, and one typed numpy column per record
+field, 77 B per row where a tuple of 15 Python objects took ~360 B.
+traces.csv is written from those columns, one column and one run at a time.
 """
 
 import csv
 import hashlib
+import io
 import math
 import operator
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, EmptyCellError
 from .linesearch import LineSearchConfig
 from .noise import NoiseSpec
-from .optimizer import RunConfig, minimize, minimize_baseline_bfgs
+from .optimizer import IterationRecord, RunConfig, minimize, minimize_baseline_bfgs
 from .policy import PenaltyPolicy
 from .problems import get_problem
 
@@ -69,6 +74,25 @@ TRACE_RECORD_FIELDS = {
 }
 TRACE_COLUMNS = TRACE_RUN_COLUMNS + tuple(TRACE_RECORD_FIELDS)
 _record_values = operator.attrgetter(*TRACE_RECORD_FIELDS.values())
+
+# A record field annotated T or Optional[T] stores as a column of T's dtype;
+# an Optional one adds a mask of its None entries.
+_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
+
+
+def _column_kind(annotation):
+    """(dtype, optional) of the trace column of a field with this annotation."""
+    args = typing.get_args(annotation)
+    optional = type(None) in args
+    if optional:
+        (annotation,) = [a for a in args if a is not type(None)]
+    if annotation not in _DTYPES:
+        raise TypeError(f"a trace column needs an int, float or bool field, got {annotation!r}")
+    return _DTYPES[annotation], optional
+
+
+_RECORD_TYPES = typing.get_type_hints(IterationRecord)
+_COLUMN_KINDS = tuple(_column_kind(_RECORD_TYPES[name]) for name in TRACE_RECORD_FIELDS.values())
 
 
 def delta_opt(phi_best, phi_star):
@@ -182,6 +206,64 @@ class ExperimentSpec:
                                      f"{exc}") from exc
 
 
+def _masked(values, none, fill):
+    """The list values with fill where the mask none is set (none = None: no mask)."""
+    if none is not None:
+        for i in np.flatnonzero(none).tolist():
+            values[i] = fill
+    return values
+
+
+class TraceRows:
+    """One run's trace rows, stored as typed columns.
+
+    run_values holds the run's TRACE_RUN_COLUMNS values once.  columns holds
+    one numpy array per TRACE_RECORD_FIELDS field, typed by the field's
+    IterationRecord annotation: int64 for int, float64 for float, bool for
+    bool.  nones holds, per column, a bool mask of the records whose field
+    was None if the field is Optional, else None; None is not stored as NaN,
+    because s.y can be a real NaN.
+
+    It reads as the sequence of row tuples: len() is the number of rows, and
+    iterating or indexing gives run_values + the record's field values as
+    Python objects of each field's annotated type (None where it was None).
+    """
+
+    __slots__ = ("run_values", "columns", "nones")
+
+    def __init__(self, run_values, records):
+        self.run_values = tuple(run_values)
+        fields = list(zip(*map(_record_values, records))) or [()] * len(_COLUMN_KINDS)
+        columns, nones = [], []
+        for values, (dtype, optional) in zip(fields, _COLUMN_KINDS):
+            none = None
+            if optional:
+                none = np.array([v is None for v in values], dtype=bool)
+                if none.any():
+                    values = [0 if v is None else v for v in values]
+            columns.append(np.array(values, dtype=dtype))
+            nones.append(none)
+        self.columns = tuple(columns)
+        self.nones = tuple(nones)
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return self.run_values + tuple(
+            None if none is not None and none[i] else column.item(i)
+            for column, none in zip(self.columns, self.nones))
+
+    def __iter__(self):
+        fields = [_masked(column.tolist(), none, None)
+                  for column, none in zip(self.columns, self.nones)]
+        return (self.run_values + row for row in zip(*fields))
+
+    def __repr__(self):
+        return f"TraceRows({self.run_values!r}, {len(self)} rows)"
+
+
 @dataclass(frozen=True)
 class RunOutcome:
     problem: str
@@ -192,7 +274,7 @@ class RunOutcome:
     n_iterations: int
     failed: bool
     failure: Optional[str] = None
-    trace_rows: Tuple[tuple, ...] = ()
+    trace_rows: Union[TraceRows, Tuple[()]] = ()  # () when the run kept no records
 
 
 @dataclass
@@ -251,7 +333,7 @@ def run_one(spec, problem_ref, method, cell, rep):
     else:
         trace = minimize_baseline_bfgs(problem, config)
     run_values = (problem.name, method, cell.eps_f, cell.eps_g, rep)  # TRACE_RUN_COLUMNS
-    rows = tuple(run_values + _record_values(rec) for rec in trace.records)
+    rows = TraceRows(run_values, trace.records) if trace.records else ()
     return RunOutcome(
         problem=problem.name,
         method=method,
@@ -295,13 +377,30 @@ def write_summary_csv(path, rows):
             ])
 
 
+# How a value of each column dtype is written: as _format writes its Python value
+_TEXT = {np.int64: str, np.float64: repr, np.bool_: lambda v: "1" if v else "0"}
+
+
+def _text_columns(rows):
+    """Each of rows' columns as the list of its traces.csv fields."""
+    for column, none in zip(rows.columns, rows.nones):
+        yield _masked(list(map(_TEXT[column.dtype.type], column.tolist())), none, "")
+
+
 def write_traces_csv(path, outcomes):
+    """traces.csv: the header, then every row of each outcome, one outcome at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for outcome in outcomes:
-            for row in outcome.trace_rows:
-                writer.writerow([_format(v) for v in row])
+            rows = outcome.trace_rows
+            if not len(rows):
+                continue
+            # the run values lead every row; csv quotes them as the header's writer would
+            lead = io.StringIO()
+            csv.writer(lead, lineterminator=",").writerow([_format(v) for v in rows.run_values])
+            lead = lead.getvalue()
+            fh.writelines(lead + ",".join(fields) + "\n" for fields in zip(*_text_columns(rows)))
 
 
 def run_experiment(spec):

@@ -148,13 +148,15 @@ def _run(problem, config, method, baseline):
     block = 1  # trials the previous line search took: the next one's block size
 
     def state_record(k, f_measured, phi):
-        # side channel: the true value and gradient the oracle computed at x
+        # side channel: the true value and gradient the oracle computed at x;
+        # the norm is np.linalg.norm's sqrt(g.g) for a 1-d float array
+        g_true = oracle.last_grad
         new = IterationRecord(
             k=k,
             x=x.copy(),
             f_measured=f_measured,
             phi=phi,
-            grad_norm=float(np.linalg.norm(oracle.last_grad)),
+            grad_norm=math.sqrt(float(g_true @ g_true)),
             evals_so_far=oracle.n_f_evals,
         )
         trace.records.append(new)
@@ -245,7 +247,7 @@ def _run(problem, config, method, baseline):
                     except NonFiniteError:
                         return fail("non-finite update")
             if keep_records:
-                rec.trace_h = float(np.trace(h))
+                rec.trace_h = float(h.trace())  # the method np.trace calls
                 if config.record_hessian_diagnostics:
                     rec.pd_ok = is_positive_definite(h)
                 rec.evals_so_far = oracle.n_f_evals

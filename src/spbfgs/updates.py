@@ -247,8 +247,12 @@ def spbfgs_update(h, pair, scalars, scratch=None):
         scratch = (np.empty_like(h), np.empty_like(h))
     if scalars.gamma == 0.0 and scalars.omega == 0.0:
         return h
-    _penalized_rank_two_update(h, pair.s, pair.y, scalars.gamma, scalars.omega, *scratch)
-    if not np.isfinite(h).all():
+    a, b = scratch
+    _penalized_rank_two_update(h, pair.s, pair.y, scalars.gamma, scalars.omega, a, b)
+    # the finiteness mask takes the first n^2 bytes of b, which the kernel
+    # has clobbered anyway, so the check allocates no n x n bool array
+    finite = b.reshape(-1).view(np.bool_)[:h.size].reshape(h.shape)
+    if not np.isfinite(h, out=finite).all():
         raise NonFiniteError("penalized update produced non-finite entries")
     return h
 

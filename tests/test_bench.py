@@ -1,14 +1,20 @@
 """Benchmark harness: seeding, statistics, CSV output, config files, CLI."""
 
+import csv
 import dataclasses
+import importlib
 import math
 import os
+import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spbfgs.bench
 import spbfgs.verify
@@ -17,8 +23,10 @@ from spbfgs.bench import (
     TRACE_RECORD_FIELDS,
     ExperimentSpec,
     ProblemRef,
+    RunOutcome,
     SummaryRow,
     SummaryStats,
+    TraceRows,
     delta_opt,
     resolve_cell,
     run_experiment,
@@ -26,6 +34,7 @@ from spbfgs.bench import (
     run_seed,
     summarize,
     write_summary_csv,
+    write_traces_csv,
 )
 from spbfgs.cli import main as cli_main
 from spbfgs.config import load_experiment
@@ -295,6 +304,94 @@ class TestRunOne:
         assert a.dopt != b.dopt
 
 
+def _typed(row):
+    """A row as (type, repr) pairs: equal only when equal type for type, -0.0 and nan included."""
+    return [(type(v), repr(v)) for v in row]
+
+
+def _tuple_rows(run_values, records):
+    """The rows as 15-tuples of Python objects, as RunOutcome held them before TraceRows."""
+    return [run_values + spbfgs.bench._record_values(rec) for rec in records]
+
+
+def _write_tuple_rows(path, rows):
+    """traces.csv as written from tuple rows by csv.writer and _format: the reference writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for row in rows:
+            writer.writerow([spbfgs.bench._format(v) for v in row])
+
+
+def _outcome(rows):
+    """An outcome holding rows; the writer reads its run values from rows alone."""
+    return RunOutcome(problem="p", method="spbfgs", cell=NoiseSpec(0.0, 0.0), rep=0,
+                      dopt=0.0, n_iterations=0, failed=False, trace_rows=rows)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, 0.1, 1e-6]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+ints = st.one_of(st.sampled_from([0, 1, 2**53, -2**53]), st.integers(-2**53, 2**53))
+records = st.builds(
+    IterationRecord, k=ints, x=st.just(np.zeros(1)), f_measured=floats, phi=floats,
+    grad_norm=floats, evals_so_far=ints, alpha=st.none() | floats, beta=st.none() | floats,
+    sty=st.none() | floats, curvature_failed=st.booleans(), trace_h=st.none() | floats)
+run_values = st.tuples(st.sampled_from(["rosenbrock", "a,b", 'q"x', ""]),
+                       st.sampled_from(["spbfgs", "bfgs"]), floats, floats, ints)
+
+
+class TestTraceRows:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(runs=st.lists(st.tuples(run_values, st.lists(records, max_size=6)), max_size=3))
+    def test_rows_and_bytes_match_tuple_rows(self, tmp_path_factory, runs):
+        outcomes, expected = [], []
+        for values, recs in runs:
+            rows = TraceRows(values, recs)
+            old = _tuple_rows(values, recs)
+            assert len(rows) == len(old)
+            assert [_typed(r) for r in rows] == [_typed(r) for r in old]
+            assert [_typed(rows[i]) for i in range(-len(old), len(old))] == \
+                [_typed(r) for r in old + old]
+            outcomes.append(_outcome(rows))
+            expected += old
+        folder = tmp_path_factory.mktemp("traces")
+        write_traces_csv(folder / "columns.csv", outcomes)
+        _write_tuple_rows(folder / "tuples.csv", expected)
+        assert (folder / "columns.csv").read_bytes() == (folder / "tuples.csv").read_bytes()
+
+    def test_index_out_of_range(self):
+        record = IterationRecord(0, None, 1.0, 1.0, 1.0, 1)
+        rows = TraceRows(("cube", "bfgs", 0.0, 0.0, 0), [record])
+        assert rows[0][5:] == (0, 1.0, 1.0, 1.0, None, None, None, False, None, 1)
+        with pytest.raises(IndexError):
+            rows[1]
+
+    def test_pickle_round_trip(self, tmp_path):
+        spec = small_spec(tmp_path, record_traces=True)
+        out = run_one(spec, ProblemRef("beale"), "spbfgs", NoiseSpec(1e-6, 1e-4), 1)
+        back = pickle.loads(pickle.dumps(out))
+        assert len(back.trace_rows) == len(out.trace_rows) > 1
+        assert [_typed(r) for r in back.trace_rows] == [_typed(r) for r in out.trace_rows]
+        assert dataclasses.replace(back, trace_rows=()) == dataclasses.replace(out, trace_rows=())
+
+    def test_outcome_holds_few_bytes_per_row(self, tmp_path):
+        # tuple rows held ~360 B per row; the columns hold ~80 B (8 per
+        # number, 1 per bool or None mask) plus a fixed cost per run
+        spec = small_spec(tmp_path, record_traces=True, budget_evals=2000)
+        args = (ProblemRef("cube"), "spbfgs", NoiseSpec(0.0, 0.0), 0)
+        run_one(spec, *args)  # first-call allocations are not the outcome's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = run_one(spec, *args)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(out.trace_rows) > 500
+        assert held / len(out.trace_rows) <= 120
+
+
 class TestExperimentSpec:
     def test_coerces_cells_and_sequences(self):
         spec = ExperimentSpec(problems=[ProblemRef("cube")], methods=["spbfgs"],
@@ -335,14 +432,16 @@ class TestRunExperiment:
         assert len(r1.rows) == 4  # 1 problem x 2 methods x 2 cells
 
     def test_workers_do_not_change_results(self, tmp_path):
-        serial = small_spec(tmp_path, replicates=2, budget_evals=200,
+        # the workers send their outcomes back pickled, trace rows included
+        serial = small_spec(tmp_path, replicates=2, budget_evals=200, record_traces=True,
                             out_dir=str(tmp_path / "serial"))
-        parallel = small_spec(tmp_path, replicates=2, budget_evals=200,
+        parallel = small_spec(tmp_path, replicates=2, budget_evals=200, record_traces=True,
                               out_dir=str(tmp_path / "parallel"), workers=2)
         run_experiment(serial)
         run_experiment(parallel)
-        assert (tmp_path / "serial" / "summary.csv").read_bytes() == \
-            (tmp_path / "parallel" / "summary.csv").read_bytes()
+        for name in ("summary.csv", "traces.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "parallel" / name).read_bytes()
 
     def test_traces_written(self, tmp_path):
         spec = small_spec(tmp_path, replicates=1, cells=(NoiseSpec(0.0, 0.0),),
@@ -688,3 +787,36 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             cli_main([])
         assert err.value.code == 2
+
+
+class TestBenchmarkContract:
+    """What perfbench/ relies on; a break shows there only as outputs_incorrect."""
+
+    def test_tracer_targets_exist(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            tracer = importlib.import_module("tracer")
+            missing = [(owner.__name__, attr) for owner, attr in tracer.targets(spbfgs)
+                       if not hasattr(owner, attr)]
+        finally:
+            sys.modules.pop("tracer", None)
+        assert missing == []
+
+    def test_trace_rows_count_the_lines_written(self, tmp_path):
+        spec = small_spec(tmp_path, record_traces=True)
+        outcomes = [run_one(spec, ProblemRef(name), "bfgs", NoiseSpec(1e-6, 1e-4), 0)
+                    for name in ("rosenbrock", "beale")]
+        for i, out in enumerate(outcomes):
+            write_traces_csv(tmp_path / f"{i}.csv", [out])
+            assert len((tmp_path / f"{i}.csv").read_text().splitlines()) == 1 + len(out.trace_rows)
+        write_traces_csv(tmp_path / "all.csv", outcomes)
+        assert len((tmp_path / "all.csv").read_text().splitlines()) == \
+            1 + sum(len(o.trace_rows) for o in outcomes)
+
+    def test_trace_rows_can_be_dropped(self, tmp_path):
+        spec = small_spec(tmp_path, record_traces=True)
+        out = run_one(spec, ProblemRef("rosenbrock"), "spbfgs", NoiseSpec(0.0, 0.0), 0)
+        dropped = dataclasses.replace(out, trace_rows=())
+        assert len(dropped.trace_rows) == 0 and dropped.dopt == out.dopt
+        write_traces_csv(tmp_path / "traces.csv", [dropped])
+        assert (tmp_path / "traces.csv").read_text().splitlines() == [",".join(TRACE_COLUMNS)]
