@@ -10,7 +10,9 @@ The oracle also keeps a noise-free side channel: it records the smallest
 true value seen at any evaluated point (phi_best), which is what benchmark
 accuracy is measured against, and the true value and true gradient of its
 latest measurements (last_phi, last_grad), which the driver's per-iterate
-records reuse instead of evaluating the problem again.  A caller that
+records reuse instead of evaluating the problem again, and the point of
+its latest f measurement (_last_x, the array passed in, not a copy), which
+the driver takes as its next iterate after a step.  A caller that
 already holds the true value at x passes it to f(x, phi): the measurement
 draws fresh noise and counts as usual, but the problem is not called.
 Only function evaluations count toward the optional evaluation budget;
@@ -56,7 +58,7 @@ def sample_ball(rng, n, radius):
     if radius == 0.0:
         return np.zeros(n)
     v = rng.standard_normal(n)
-    v /= math.sqrt(float(v @ v))  # np.linalg.norm(v), without its overhead
+    v /= math.sqrt(float(v.dot(v)))  # np.linalg.norm(v), without its overhead
     return (radius * rng.random() ** (1.0 / n)) * v
 
 
@@ -75,6 +77,7 @@ class NoisyOracle:
         self.phi_best = math.inf
         self.x_best = None
         self.last_phi = math.nan  # true value at the latest f measurement
+        self._last_x = None  # the array of the latest f measurement
         self.last_grad = None  # true gradient at the latest grad measurement
 
     def f(self, x, phi=None):
@@ -88,6 +91,7 @@ class NoisyOracle:
         if self.budget_evals is not None and self.n_f_evals >= self.budget_evals:
             raise EvaluationBudgetError(f"evaluation budget of {self.budget_evals} exhausted")
         self.n_f_evals += 1
+        self._last_x = x
         if phi is None:
             phi = self.problem.f(x)
         phi = self.last_phi = float(phi)

@@ -9,20 +9,22 @@ the baseline admission rule.  An exhausted line search keeps the iterate
 still counts.
 
 The true f is computed once per point.  After a step, the new iterate is
-bitwise the accepted trial point, whose true value the oracle has just
-computed, so the fresh measurement there (new noise, one more evaluation
-charged) reuses that value instead of calling the problem again.  For a
-problem with a stacked f (Problem.stacked_f), the line search computes the
-true values of its trials in blocks as long as the previous search's trial
-count; see linesearch.backtrack.  Both leave every output bitwise as it is
-with one problem call per measurement.
+the accepted trial point itself, which the oracle measured last: the
+driver takes that array from the oracle rather than forming x + alpha p
+again (the same bits), and the fresh measurement there (new noise, one
+more evaluation charged) reuses its true value instead of calling the
+problem again.  For a problem with a stacked f (Problem.stacked_f), the
+line search computes the true values of its trials in blocks as long as
+the previous search's trial count; see linesearch.backtrack.  Both leave
+every output bitwise as it is with one problem call per measurement.
 
-H is updated in place, with two n x n scratch arrays allocated once per
-run, so an iteration allocates nothing of size n x n.  The kernel keeps a
-symmetric H exactly symmetric without a symmetrizing pass, so h0 is
-checked once, when the run starts, by the copying update's check of H
-(a ValueError naming h0 if it is not n x n, finite and exactly symmetric).
-Both methods update H through spbfgs_update, BFGS at beta = +inf.
+H is updated in place, with scratch (two n x n arrays and the bool view
+the finiteness check writes) allocated once per run, so an iteration
+allocates nothing of size n x n.  The kernel keeps a symmetric H exactly
+symmetric without a symmetrizing pass, so h0 is checked once, when the run
+starts, by the copying update's check of H (a ValueError naming h0 if it
+is not n x n, finite and exactly symmetric).  Both methods update H
+through spbfgs_update, BFGS at beta = +inf.
 
 Termination is budget-only: a fixed number of iterations, or of noisy
 function evaluations (line-search trials included, gradients free).  There
@@ -50,7 +52,7 @@ from .errors import EvaluationBudgetError, NonFiniteError
 from .linesearch import LineSearchConfig, backtrack
 from .noise import NoiseSpec, NoisyOracle
 from .policy import SKIP, UPDATE, PenaltyPolicy, baseline_update_ok, propose_beta, resolve_beta
-from .updates import (CurvaturePair, _checked_h_copy, compute_penalty_scalars,
+from .updates import (CurvaturePair, _checked_h_copy, _update_scratch, compute_penalty_scalars,
                       is_positive_definite, spbfgs_update)
 
 
@@ -141,7 +143,7 @@ def _run(problem, config, method, baseline):
     x = np.array(problem.x0, dtype=float, copy=True)
     h = np.eye(n) if config.h0 is None else _checked_h_copy(config.h0, n, name="h0")
     # the update overwrites h and these, so no iteration allocates an n x n array
-    scratch = (np.empty((n, n)), np.empty((n, n)))
+    scratch = _update_scratch(n)
     keep_records = config.record_iterations
     rec = None  # the latest record, if any
     true_f = problem.f if problem.stacked_f else None
@@ -156,7 +158,7 @@ def _run(problem, config, method, baseline):
             x=x.copy(),
             f_measured=f_measured,
             phi=phi,
-            grad_norm=math.sqrt(float(g_true @ g_true)),
+            grad_norm=math.sqrt(float(g_true.dot(g_true))),
             evals_so_far=oracle.n_f_evals,
         )
         trace.records.append(new)
@@ -190,8 +192,9 @@ def _run(problem, config, method, baseline):
                 rec = state_record(k, f_meas, oracle.last_phi)
             if config.budget_iters is not None and k >= config.budget_iters:
                 break
-            p = -(h @ g)
-            gdotp = float(g @ p)
+            # ndarray.dot is the BLAS call @ makes, bit for bit, with less overhead
+            p = -h.dot(g)
+            gdotp = float(g.dot(p))
             try:
                 alpha, f_acc, n_trials = backtrack(oracle.f, x, p, f_meas, gdotp,
                                                    config.linesearch, true_f, block)
@@ -202,14 +205,13 @@ def _run(problem, config, method, baseline):
                 rec.alpha = alpha
                 rec.f_accepted = f_acc
                 rec.n_trials = n_trials
-            if alpha > 0.0:
-                x_new = x + alpha * p
-            else:
-                x_new = x
+            # the accepted trial x + alpha p, the point the oracle measured last
+            x_new = oracle._last_x if alpha > 0.0 else x
             g_new = oracle.grad(x_new)
-            # Each new vector is scanned once.  x and g are finite, so a finite
-            # pair s = x_new - x, y = g_new - g (CurvaturePair checks it) means
-            # a finite x_new and g_new; a zero step keeps x, leaving g_new.
+            # Each new vector is checked once.  x and g are finite, so a pair
+            # s = x_new - x, y = g_new - g that CurvaturePair accepts (finite
+            # entries) means a finite x_new and g_new; a zero step keeps x,
+            # leaving g_new.
             if not math.isfinite(f_acc):
                 return fail("non-finite state")
             if alpha == 0.0:

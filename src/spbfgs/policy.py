@@ -111,7 +111,7 @@ def propose_beta(policy, s):
         return math.inf
     if policy.kind == "constant":
         return policy.beta
-    norm_s = math.sqrt(float(s @ s))  # np.linalg.norm(s), without its overhead
+    norm_s = math.sqrt(float(s.dot(s)))  # np.linalg.norm(s), without its overhead
     if policy.kind == "linear":
         return policy.step_scale * norm_s + policy.offset
     if policy.kind == "thresholded":
@@ -145,5 +145,5 @@ def baseline_update_ok(policy, pair):
     if policy.skip_rule == "nonpositive":
         return True
     if policy.skip_rule == "step-norm":
-        return pair.sty >= policy.skip_eps * float(pair.s @ pair.s)
+        return pair.sty >= policy.skip_eps * float(pair.s.dot(pair.s))
     return pair.sty >= policy.skip_zeta * float(np.linalg.norm(pair.s) * np.linalg.norm(pair.y))

@@ -7,9 +7,19 @@ admits several forms: sineval and snail (see their docstrings).
 The three sized problems (srosenbr, genrose, extrosnb) have a stacked f:
 it takes points stacked as (..., n) and returns their values as (...),
 each bitwise the value f gives the point alone, so that a line search can
-evaluate several trial points in one call (Problem.stacked_f).  The fixed-
-size problems take one point: their math.* and numpy-scalar arithmetic has
-no bitwise-equal array form.
+evaluate several trial points in one call (Problem.stacked_f).
+
+Seven fixed-size problems (rosenbrock, beale, cube, powellsg, helix,
+sineval, snail) take one point and evaluate their formula on Python floats,
+x.tolist(), in about half the time the same formula takes on numpy float64
+scalars.  A finite result has the same bits either way: + - * / round
+alike, and ** is libm pow on both.  Where Python raises ArithmeticError
+instead (** overflowing, where numpy gives inf; a division by zero, where
+numpy gives inf or nan) or the result is not finite, the formula is
+evaluated again on x's numpy scalars, so such points keep numpy's values,
+nan signs included, and its warnings outside np.errstate.  A domain error
+(math.sin(inf), say) raises the same ValueError on either path.
+quadratic_ill and box3 evaluate on numpy arrays.
 """
 
 import math
@@ -37,6 +47,44 @@ class Problem:
     strong_convexity: Optional[tuple] = None  # (m, M) when globally strongly convex
     notes: str = ""
     stacked_f: bool = False  # f maps (..., n) to (...), row by row as for one point
+
+
+def _value_on_python_floats(formula):
+    """f(x) = formula(x.tolist()) where that is finite, else formula(x) on numpy scalars.
+
+    The formula indexes x, so it runs unchanged on the list of Python floats
+    and on the float64 vector, whose entries are numpy scalars.  Where Python
+    raises ArithmeticError or gives a non-finite value, the value is numpy's:
+    a nan's sign can differ between the two (CPython's nan ** 3 keeps the
+    sign, libm's flips it), so only finite results come from the floats.
+    """
+
+    def f(x):
+        try:
+            value = formula(x.tolist())
+            if math.isfinite(value):
+                return value
+        except ArithmeticError:
+            pass
+        return formula(x)
+
+    return f
+
+
+def _gradient_on_python_floats(formula):
+    """grad(x) as an array of formula's components, evaluated as _value_on_python_floats does."""
+
+    def grad(x):
+        try:
+            g = formula(x.tolist())
+            # finite iff every component is, or it overflowed (numpy's values then)
+            if math.isfinite(sum(g)):
+                return np.array(g)
+        except ArithmeticError:
+            pass
+        return np.array(formula(x))
+
+    return grad
 
 
 def _scalar_square(d):
@@ -84,12 +132,14 @@ def quadratic_ill():
 def rosenbrock():
     """100 (x2 - x1^2)^2 + (1 - x1)^2; minimum 0 at (1, 1), x0 = (-1.2, 1)."""
 
+    @_value_on_python_floats
     def f(x):
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
+    @_gradient_on_python_floats
     def grad(x):
         t = x[1] - x[0] ** 2
-        return np.array([-400.0 * x[0] * t - 2.0 * (1.0 - x[0]), 200.0 * t])
+        return [-400.0 * x[0] * t - 2.0 * (1.0 - x[0]), 200.0 * t]
 
     def hess(x):
         return np.array(
@@ -128,17 +178,21 @@ def beale():
     """Beale's function; minimum 0 at (3, 0.5), x0 = (1, 1)."""
     consts = (1.5, 2.25, 2.625)
 
+    @_value_on_python_floats
     def f(x):
-        return float(sum((c - x[0] * (1.0 - x[1] ** (k + 1))) ** 2 for k, c in enumerate(consts)))
+        t = [(c - x[0] * (1.0 - x[1] ** (k + 1))) ** 2 for k, c in enumerate(consts)]
+        # added left to right: from Python 3.12 sum() of Python floats is compensated
+        return float(t[0] + t[1] + t[2])
 
+    @_gradient_on_python_floats
     def grad(x):
-        g = np.zeros(2)
+        g0 = g1 = 0.0
         for k, c in enumerate(consts):
             yk = x[1] ** (k + 1)
             r = c - x[0] * (1.0 - yk)
-            g[0] += 2.0 * r * (yk - 1.0)
-            g[1] += 2.0 * r * x[0] * (k + 1) * x[1] ** k
-        return g
+            g0 += 2.0 * r * (yk - 1.0)
+            g1 += 2.0 * r * x[0] * (k + 1) * x[1] ** k
+        return [g0, g1]
 
     return Problem("beale", 2, f, grad, np.array([1.0, 1.0]), 0.0)
 
@@ -146,12 +200,14 @@ def beale():
 def cube():
     """(x1 - 1)^2 + 100 (x2 - x1^3)^2; minimum 0 at (1, 1), x0 = (-1.2, 1)."""
 
+    @_value_on_python_floats
     def f(x):
         return float((x[0] - 1.0) ** 2 + 100.0 * (x[1] - x[0] ** 3) ** 2)
 
+    @_gradient_on_python_floats
     def grad(x):
         t = x[1] - x[0] ** 3
-        return np.array([2.0 * (x[0] - 1.0) - 600.0 * x[0] ** 2 * t, 200.0 * t])
+        return [2.0 * (x[0] - 1.0) - 600.0 * x[0] ** 2 * t, 200.0 * t]
 
     return Problem("cube", 2, f, grad, np.array([-1.2, 1.0]), 0.0)
 
@@ -159,6 +215,7 @@ def cube():
 def powellsg():
     """Powell's singular function in 4 variables; minimum 0 at the origin."""
 
+    @_value_on_python_floats
     def f(x):
         return float(
             (x[0] + 10.0 * x[1]) ** 2
@@ -167,19 +224,18 @@ def powellsg():
             + 10.0 * (x[0] - x[3]) ** 4
         )
 
+    @_gradient_on_python_floats
     def grad(x):
         a = x[0] + 10.0 * x[1]
         b = x[2] - x[3]
         c = (x[1] - 2.0 * x[2]) ** 3
         d = (x[0] - x[3]) ** 3
-        return np.array(
-            [
-                2.0 * a + 40.0 * d,
-                20.0 * a + 4.0 * c,
-                10.0 * b - 8.0 * c,
-                -10.0 * b - 40.0 * d,
-            ]
-        )
+        return [
+            2.0 * a + 40.0 * d,
+            20.0 * a + 4.0 * c,
+            10.0 * b - 8.0 * c,
+            -10.0 * b - 40.0 * d,
+        ]
 
     return Problem("powellsg", 4, f, grad, np.array([3.0, -1.0, 0.0, 1.0]), 0.0,
                    notes="Hessian singular at the solution")
@@ -196,11 +252,13 @@ def _helix_theta(x1, x2):
 def helix():
     """Helical valley in 3 variables; minimum 0 at (1, 0, 0), x0 = (-1, 0, 0)."""
 
+    @_value_on_python_floats
     def f(x):
         theta = _helix_theta(x[0], x[1])
         r = math.hypot(x[0], x[1])
         return float(100.0 * ((x[2] - 10.0 * theta) ** 2 + (r - 1.0) ** 2) + x[2] ** 2)
 
+    @_gradient_on_python_floats
     def grad(x):
         theta = _helix_theta(x[0], x[1])
         r2 = x[0] ** 2 + x[1] ** 2
@@ -209,13 +267,11 @@ def helix():
         u = r - 1.0
         dth1 = -x[1] / (_TWO_PI * r2)
         dth2 = x[0] / (_TWO_PI * r2)
-        return np.array(
-            [
-                -2000.0 * t * dth1 + 200.0 * u * x[0] / r,
-                -2000.0 * t * dth2 + 200.0 * u * x[1] / r,
-                200.0 * t + 2.0 * x[2],
-            ]
-        )
+        return [
+            -2000.0 * t * dth1 + 200.0 * u * x[0] / r,
+            -2000.0 * t * dth2 + 200.0 * u * x[1] / r,
+            200.0 * t + 2.0 * x[2],
+        ]
 
     return Problem("helix", 3, f, grad, np.array([-1.0, 0.0, 0.0]), 0.0,
                    notes="angle branch cut on the half-plane x1 < 0, x2 = 0")
@@ -297,12 +353,14 @@ def sineval():
     steep sine valley and the same start and minimum.
     """
 
+    @_value_on_python_floats
     def f(x):
         return float(1e4 * (x[1] - math.sin(x[0])) ** 2 + 0.25 * x[0] ** 2)
 
+    @_gradient_on_python_floats
     def grad(x):
         t = x[1] - math.sin(x[0])
-        return np.array([-2e4 * t * math.cos(x[0]) + 0.5 * x[0], 2e4 * t])
+        return [-2e4 * t * math.cos(x[0]) + 0.5 * x[0], 2e4 * t]
 
     return Problem("sineval", 2, f, grad, np.array([4.712389, -1.0]), 0.0,
                    notes="variant scaling; see docstring")
@@ -322,6 +380,7 @@ def snail():
     """
     a, b = 0.5, 1.5
 
+    @_value_on_python_floats
     def f(x):
         r2 = x[0] ** 2 + x[1] ** 2
         if r2 == 0.0:
@@ -330,22 +389,21 @@ def snail():
         theta = math.atan2(x[1], x[0])
         return float(r2 / (1.0 + r2) * (b + a * math.cos(theta - r)))
 
+    @_gradient_on_python_floats
     def grad(x):
         r2 = x[0] ** 2 + x[1] ** 2
         if r2 == 0.0:
-            return np.zeros(2)
+            return [0.0, 0.0]
         r = math.sqrt(r2)
         theta = math.atan2(x[1], x[0])
         u = r2 / (1.0 + r2)
         v = b + a * math.cos(theta - r)
         sn = a * math.sin(theta - r)
         du = 2.0 / (1.0 + r2) ** 2
-        return np.array(
-            [
-                x[0] * v * du - u * sn * (-x[1] / r2 - x[0] / r),
-                x[1] * v * du - u * sn * (x[0] / r2 - x[1] / r),
-            ]
-        )
+        return [
+            x[0] * v * du - u * sn * (-x[1] / r2 - x[0] / r),
+            x[1] * v * du - u * sn * (x[0] / r2 - x[1] / r),
+        ]
 
     return Problem("snail", 2, f, grad, np.array([10.0, 10.0]), 0.0,
                    notes="reconstructed variant; see docstring")

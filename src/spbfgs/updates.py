@@ -30,8 +30,9 @@ and folds its vector terms into one vector u:
 
     H+ = H + s u^T + u s^T,    u = (gamma (1 + omega y.Hy) / 2) s - omega Hy.
 
-One kernel computes it in place, into H, with two caller-owned n x n
-scratch arrays, so a call allocates nothing of size n x n: two outer
+One kernel computes it in place, into H, with caller-owned scratch (two
+n x n float arrays and a bool view of the second, made once per run by
+_update_scratch), so a call allocates nothing of size n x n: two outer
 products, one sum and one add into H.  The outer products are single-term
 einsums, which at n = 256 write them in about half the time of a broadcast
 np.multiply and need no ufunc iteration buffers; each entry is one IEEE
@@ -49,6 +50,7 @@ diagnostics; the driver itself only maintains H.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +84,9 @@ def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
     s_i u_j + u_i s_j once, which changes the bytes and breaks the exact
     symmetry above.
     """
-    hy = h @ y
-    yhy = float(y @ hy)
+    # ndarray.dot is the BLAS call @ makes, bit for bit, without matmul's ufunc overhead
+    hy = h.dot(y)
+    yhy = float(y.dot(hy))
     coef = gamma * (1.0 + omega * yhy)
     u = (0.5 * coef) * s - omega * hy
     # adding a's transposed view instead of b is slower at large n
@@ -116,7 +119,16 @@ def is_positive_definite(a):
 
 @dataclass(frozen=True)
 class CurvaturePair:
-    """Step s = x+ - x and gradient change y = g+ - g, with s.y cached."""
+    """Step s = x+ - x and gradient change y = g+ - g, with s.y cached.
+
+    s and y must be 1-d float vectors of equal length (BadDimensionError)
+    with finite entries (NonFiniteError).  s.y is computed first, and the
+    entries are scanned only when it is not finite: a non-finite entry
+    always makes s.y non-finite (inf * 0 and inf - inf are nan, inf times a
+    nonzero number is inf, and nan propagates), so a finite s.y vouches for
+    every entry.  Finite entries whose s.y overflows are accepted, with sty
+    the inf or nan the sum gives.
+    """
 
     s: np.ndarray
     y: np.ndarray
@@ -127,20 +139,26 @@ class CurvaturePair:
         y = np.asarray(self.y, dtype=float)
         if s.ndim != 1 or s.shape != y.shape:
             raise BadDimensionError("s and y must be 1-d arrays of equal length")
-        if not (np.isfinite(s).all() and np.isfinite(y).all()):
+        # np.vdot of two 1-d float vectors is s @ y's BLAS dot, bit for bit, but
+        # checks no floating-point flags: outside np.errstate, entries about to
+        # be rejected warn of nothing (s @ y would warn "invalid value")
+        sty = float(np.vdot(s, y))
+        if not math.isfinite(sty) and not (np.isfinite(s).all() and np.isfinite(y).all()):
             raise NonFiniteError("curvature pair contains non-finite entries")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "sty", float(s @ y))
+        object.__setattr__(self, "sty", sty)
 
     @property
     def n(self):
         return self.s.shape[0]
 
 
-@dataclass(frozen=True)
-class PenaltyScalars:
-    """Penalty strength beta and the derived update coefficients gamma, omega."""
+class PenaltyScalars(NamedTuple):
+    """Penalty strength beta and the derived update coefficients gamma, omega.
+
+    A named tuple: immutable, and cheap to build once per update.
+    """
 
     beta: float
     gamma: float
@@ -152,21 +170,22 @@ def bfgs_curvature_ok(pair):
     return pair.sty > 0.0
 
 
-def _check_beta(beta):
-    if beta < 0.0 or math.isnan(beta):
-        raise ValueError(f"beta must lie in [0, +inf], got {beta}")
+def _bad_beta(beta):
+    return ValueError(f"beta must lie in [0, +inf], got {beta}")
 
 
 def spbfgs_curvature_ok(pair, beta):
     """Relaxed curvature condition s.y > -1/beta.
 
-    Always true at beta = 0; reduces to s.y > 0 at beta = +inf.
+    Always true at beta = 0; reduces to s.y > 0 at beta = +inf.  A beta
+    outside [0, +inf] (negative or nan) raises ValueError.
     """
-    _check_beta(beta)
+    if beta > 0.0:
+        # -1.0/inf == -0.0, so beta=+inf demands sty strictly positive
+        return pair.sty > -1.0 / beta
     if beta == 0.0:
         return True
-    # -1.0/inf == -0.0, so beta=+inf demands sty strictly positive
-    return pair.sty > -1.0 / beta
+    raise _bad_beta(beta)
 
 
 def compute_penalty_scalars(pair, beta):
@@ -178,16 +197,18 @@ def compute_penalty_scalars(pair, beta):
     yields well-defined scalars whose update simply fails to stay positive
     definite.  Exactly-zero denominators raise SingularDenominatorError;
     coefficients that overflow (a subnormal denominator) raise
-    NonFiniteError.
+    NonFiniteError; a beta outside [0, +inf] raises ValueError.
     """
-    _check_beta(beta)
-    if beta == 0.0:
-        return PenaltyScalars(0.0, 0.0, 0.0)
+    if not beta > 0.0:
+        if beta == 0.0:
+            return PenaltyScalars(0.0, 0.0, 0.0)
+        raise _bad_beta(beta)
     # 1/inf is exactly 0, so at beta = +inf both denominators are s.y itself
-    d1 = pair.sty + 1.0 / beta
-    d2 = pair.sty + 2.0 / beta
+    sty = pair.sty
+    d1 = sty + 1.0 / beta
+    d2 = sty + 2.0 / beta
     if d1 == 0.0 or d2 == 0.0:
-        raise SingularDenominatorError(f"degenerate denominator: s.y = {pair.sty}, beta = {beta}")
+        raise SingularDenominatorError(f"degenerate denominator: s.y = {sty}, beta = {beta}")
     gamma = 1.0 / d1
     omega = 1.0 / d2
     if not (math.isfinite(gamma) and math.isfinite(omega)):
@@ -212,6 +233,17 @@ def _checked_h_copy(h, n, name="H"):
     return h.copy()
 
 
+def _update_scratch(n):
+    """Scratch for the in-place update at size n: (a, b, finite).
+
+    a and b are n x n float arrays; finite is the first n^2 bytes of b seen
+    as an n x n bool array, which the finiteness check writes after the
+    kernel has clobbered b, so the check allocates nothing of size n x n.
+    """
+    a, b = np.empty((n, n)), np.empty((n, n))
+    return a, b, b.reshape(-1).view(np.bool_)[:n * n].reshape(n, n)
+
+
 def bfgs_update(h, pair):
     """Classic BFGS update of the inverse approximation, returned as a new array.
 
@@ -229,12 +261,12 @@ def spbfgs_update(h, pair, scalars, scratch=None):
 
     Without scratch, H is left untouched and the update is returned as a
     new array; H must be n x n (BadDimensionError), finite (NonFiniteError)
-    and exactly symmetric (DegenerateInputError).  With scratch = (a, b),
-    two n x n float arrays distinct from H and from each other, H must be a
-    C-contiguous n x n float array, finite and symmetric as a precondition
-    the caller owns (nothing here checks it); H is overwritten with the
-    update and returned, and a and b are clobbered.  That is the driver's
-    path: no n x n array is allocated.
+    and exactly symmetric (DegenerateInputError).  With scratch = (a, b,
+    finite) as _update_scratch(n) makes it, allocated once and reused, H
+    must be a C-contiguous n x n float array distinct from a and b, finite
+    and symmetric as a precondition the caller owns (nothing here checks
+    it); H is overwritten with the update and returned, and the scratch is
+    clobbered.  That is the driver's path: no n x n array is allocated.
 
     For symmetric H the result is exactly symmetric.  It is positive
     definite (given H positive definite) iff s.y > -1/beta; callers that
@@ -244,14 +276,11 @@ def spbfgs_update(h, pair, scalars, scratch=None):
     """
     if scratch is None:
         h = _checked_h_copy(h, pair.n)
-        scratch = (np.empty_like(h), np.empty_like(h))
+        scratch = _update_scratch(pair.n)
     if scalars.gamma == 0.0 and scalars.omega == 0.0:
         return h
-    a, b = scratch
+    a, b, finite = scratch
     _penalized_rank_two_update(h, pair.s, pair.y, scalars.gamma, scalars.omega, a, b)
-    # the finiteness mask takes the first n^2 bytes of b, which the kernel
-    # has clobbered anyway, so the check allocates no n x n bool array
-    finite = b.reshape(-1).view(np.bool_)[:h.size].reshape(h.shape)
     if not np.isfinite(h, out=finite).all():
         raise NonFiniteError("penalized update produced non-finite entries")
     return h

@@ -443,6 +443,22 @@ class TestRunExperiment:
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
 
+    def test_serial_sweep_never_imports_the_process_pool(self, tmp_path):
+        # a fresh interpreter: this one may have imported it for workers = 2
+        src = str(Path(spbfgs.bench.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from spbfgs.bench import ExperimentSpec, ProblemRef, run_experiment\n"
+                "run_experiment(ExperimentSpec(problems=(ProblemRef('cube'),), replicates=1,\n"
+                f"                             budget_evals=50, out_dir={str(tmp_path)!r}))\n"
+                "print('concurrent.futures.process' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+        assert (tmp_path / "summary.csv").exists()
+
     def test_traces_written(self, tmp_path):
         spec = small_spec(tmp_path, replicates=1, cells=(NoiseSpec(0.0, 0.0),),
                           record_traces=True)

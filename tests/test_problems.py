@@ -1,5 +1,6 @@
 """Analytic test problems: gradients, minima, registry plumbing."""
 
+import math
 import zlib
 
 import numpy as np
@@ -242,3 +243,165 @@ class TestStackedF:
     def test_one_point_gives_a_scalar(self, name):
         problem = get_problem(name, 6)
         assert np.ndim(problem.f(problem.x0)) == 0
+
+
+# The seven fixed-size formulas as they were written on numpy float64
+# scalars (x[i] of a float64 vector), kept here as the reference that the
+# Python-float evaluation must match bit for bit.
+def _helix_theta_ref(x1, x2):
+    if x1 > 0.0:
+        return math.atan(x2 / x1) / (2.0 * math.pi)
+    if x1 < 0.0:
+        return math.atan(x2 / x1) / (2.0 * math.pi) + 0.5
+    return 0.25 if x2 >= 0.0 else -0.25
+
+
+def _beale_f_ref(x):
+    consts = (1.5, 2.25, 2.625)
+    return float(sum((c - x[0] * (1.0 - x[1] ** (k + 1))) ** 2 for k, c in enumerate(consts)))
+
+
+def _beale_grad_ref(x):
+    g = np.zeros(2)
+    for k, c in enumerate((1.5, 2.25, 2.625)):
+        yk = x[1] ** (k + 1)
+        r = c - x[0] * (1.0 - yk)
+        g[0] += 2.0 * r * (yk - 1.0)
+        g[1] += 2.0 * r * x[0] * (k + 1) * x[1] ** k
+    return g
+
+
+def _helix_f_ref(x):
+    theta = _helix_theta_ref(x[0], x[1])
+    r = math.hypot(x[0], x[1])
+    return float(100.0 * ((x[2] - 10.0 * theta) ** 2 + (r - 1.0) ** 2) + x[2] ** 2)
+
+
+def _helix_grad_ref(x):
+    theta = _helix_theta_ref(x[0], x[1])
+    r2 = x[0] ** 2 + x[1] ** 2
+    r = math.sqrt(r2)
+    t = x[2] - 10.0 * theta
+    u = r - 1.0
+    dth1 = -x[1] / (2.0 * math.pi * r2)
+    dth2 = x[0] / (2.0 * math.pi * r2)
+    return np.array([-2000.0 * t * dth1 + 200.0 * u * x[0] / r,
+                     -2000.0 * t * dth2 + 200.0 * u * x[1] / r,
+                     200.0 * t + 2.0 * x[2]])
+
+
+def _snail_f_ref(x):
+    r2 = x[0] ** 2 + x[1] ** 2
+    if r2 == 0.0:
+        return 0.0
+    r = math.sqrt(r2)
+    theta = math.atan2(x[1], x[0])
+    return float(r2 / (1.0 + r2) * (1.5 + 0.5 * math.cos(theta - r)))
+
+
+def _snail_grad_ref(x):
+    r2 = x[0] ** 2 + x[1] ** 2
+    if r2 == 0.0:
+        return np.zeros(2)
+    r = math.sqrt(r2)
+    theta = math.atan2(x[1], x[0])
+    u = r2 / (1.0 + r2)
+    v = 1.5 + 0.5 * math.cos(theta - r)
+    sn = 0.5 * math.sin(theta - r)
+    du = 2.0 / (1.0 + r2) ** 2
+    return np.array([x[0] * v * du - u * sn * (-x[1] / r2 - x[0] / r),
+                     x[1] * v * du - u * sn * (x[0] / r2 - x[1] / r)])
+
+
+NUMPY_SCALAR_REFERENCE = {
+    "rosenbrock": (
+        lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2),
+        lambda x: np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                            200.0 * (x[1] - x[0] ** 2)]),
+    ),
+    "beale": (_beale_f_ref, _beale_grad_ref),
+    "cube": (
+        lambda x: float((x[0] - 1.0) ** 2 + 100.0 * (x[1] - x[0] ** 3) ** 2),
+        lambda x: np.array([2.0 * (x[0] - 1.0) - 600.0 * x[0] ** 2 * (x[1] - x[0] ** 3),
+                            200.0 * (x[1] - x[0] ** 3)]),
+    ),
+    "powellsg": (
+        lambda x: float((x[0] + 10.0 * x[1]) ** 2 + 5.0 * (x[2] - x[3]) ** 2
+                        + (x[1] - 2.0 * x[2]) ** 4 + 10.0 * (x[0] - x[3]) ** 4),
+        lambda x: np.array([
+            2.0 * (x[0] + 10.0 * x[1]) + 40.0 * (x[0] - x[3]) ** 3,
+            20.0 * (x[0] + 10.0 * x[1]) + 4.0 * (x[1] - 2.0 * x[2]) ** 3,
+            10.0 * (x[2] - x[3]) - 8.0 * (x[1] - 2.0 * x[2]) ** 3,
+            -10.0 * (x[2] - x[3]) - 40.0 * (x[0] - x[3]) ** 3,
+        ]),
+    ),
+    "helix": (_helix_f_ref, _helix_grad_ref),
+    "sineval": (
+        lambda x: float(1e4 * (x[1] - math.sin(x[0])) ** 2 + 0.25 * x[0] ** 2),
+        lambda x: np.array([-2e4 * (x[1] - math.sin(x[0])) * math.cos(x[0]) + 0.5 * x[0],
+                            2e4 * (x[1] - math.sin(x[0]))]),
+    ),
+    "snail": (_snail_f_ref, _snail_grad_ref),
+}
+
+# signed zeros, subnormals (whose squares underflow to 0), negative bases,
+# magnitudes whose powers overflow (1e150 .. 1e308), inf, and nan of both
+# signs (an odd power of a negative nan is -nan in CPython, +nan in libm)
+special_entries = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 2.2250738585072014e-308, 1.0, -1.0, 1.5,
+    -1.2, 1e150, -1e150, 1e200, -1e250, 1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    math.inf, -math.inf, math.nan, -math.nan,
+])
+fixed_entries = st.one_of(
+    special_entries,
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=1e150, max_value=1e308),
+    st.floats(min_value=-1e308, max_value=-1e150),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(),
+)
+
+
+def outcome(fn, x):
+    """What fn(x) gives: its type and value bytes, or the exception it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            value = fn(x.copy())
+        except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+            return "raises", type(exc), str(exc)
+    return "returns", type(value), np.asarray(value, dtype=float).tobytes()
+
+
+class TestPythonFloatFormulas:
+    def test_which_problems_use_python_floats(self):
+        assert set(NUMPY_SCALAR_REFERENCE) == (set(list_problems()) - set(STACKED)
+                                               - {"quadratic_ill", "box3"})
+
+    @pytest.mark.parametrize("name", sorted(NUMPY_SCALAR_REFERENCE))
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_f_and_grad_equal_numpy_scalar_formulas_bitwise(self, name, data):
+        problem = get_problem(name)
+        x = data.draw(arrays(float, problem.n, elements=fixed_entries))
+        f_ref, grad_ref = NUMPY_SCALAR_REFERENCE[name]
+        assert outcome(problem.f, x) == outcome(f_ref, x)
+        assert outcome(problem.grad, x) == outcome(grad_ref, x)
+
+    @pytest.mark.parametrize("name, x", [
+        ("helix", [0.0, 0.0, 1.0]),  # r2 = 0: / r2 raises ZeroDivisionError on floats
+        ("helix", [-0.0, 5e-324, -2.0]),  # r2 underflows to 0 at nonzero x
+        ("snail", [0.0, -0.0]),
+        ("snail", [1e-170, -1e-170]),
+        ("cube", [1e200, 1.0]),  # ** overflows: OverflowError on floats, inf on numpy
+        ("powellsg", [1e100, -1e100, 1e100, 1.0]),
+        ("beale", [1.0, -1e150]),
+        ("cube", [-math.nan, 1.0]),  # x1^3 of -nan: -nan in CPython, +nan in libm
+        ("sineval", [math.inf, 0.0]),  # math.sin(inf): a domain error on both
+        ("snail", [math.inf, 1.0]),
+    ])
+    def test_edge_points(self, name, x):
+        problem = get_problem(name)
+        x = np.array(x)
+        f_ref, grad_ref = NUMPY_SCALAR_REFERENCE[name]
+        assert outcome(problem.f, x) == outcome(f_ref, x)
+        assert outcome(problem.grad, x) == outcome(grad_ref, x)

@@ -1,9 +1,13 @@
 """Unit tests for the penalized rank-two update and its scalar plumbing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spbfgs.errors import (
     BadDimensionError,
@@ -22,6 +26,7 @@ from spbfgs.updates import (
     spbfgs_curvature_ok,
     spbfgs_inverse_update,
     spbfgs_update,
+    _update_scratch,
 )
 from spbfgs.verify import product_form_bfgs, random_pair, random_spd
 
@@ -76,7 +81,29 @@ def chained_updates(rng, h, scratch):
 
 def scratch_pair(n):
     # NaN-filled, so anything read before it is written shows in the result
-    return np.full((n, n), np.nan), np.full((n, n), np.nan)
+    a, b, finite = _update_scratch(n)
+    a.fill(np.nan)
+    b.fill(np.nan)
+    return a, b, finite
+
+
+# finite entries of every size, huge ones whose products overflow, signed
+# zeros and subnormals, and inf and nan
+pair_entry = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=1e150, max_value=1.7976931348623157e308),
+    st.floats(min_value=-1.7976931348623157e308, max_value=-1e150),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+@st.composite
+def pair_entries(draw):
+    """(s, y): two float vectors of one length, 1..8 or 33..40 (BLAS's unrolled loops)."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(33, 40)))
+    return (draw(arrays(float, n, elements=pair_entry)),
+            draw(arrays(float, n, elements=pair_entry)))
 
 
 class TestCurvaturePair:
@@ -112,6 +139,25 @@ class TestCurvaturePair:
         with np.errstate(over="ignore"):
             pair = CurvaturePair([1e300, 1e300], [1e300, 1e300])
         assert pair.sty == math.inf
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(pair_entries())
+    def test_accepts_what_scanning_first_accepts(self, case):
+        s, y = case
+        # the check as it was: scan both vectors, then s @ y
+        if np.isfinite(s).all() and np.isfinite(y).all():
+            with np.errstate(all="ignore"):
+                expected = np.float64(s @ y).tobytes()
+        else:
+            expected = "rejected"
+        # no warning may leave the constructor, whatever numpy's error state
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            try:
+                got = np.float64(CurvaturePair(s, y).sty).tobytes()
+            except NonFiniteError:
+                got = "rejected"
+        assert got == expected
 
 
 class TestCurvatureConditions:
