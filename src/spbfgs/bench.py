@@ -25,9 +25,9 @@ relative factors; the resolved absolute levels scale with |phi(x0)| and
 policy and Armijo slack (eps_armijo = None, the default) against them.
 Optional long-format per-iteration traces (one row per iteration per run)
 support convergence and penalty plots.  A traced run keeps its rows as one
-TraceRows: the five run values once, and one typed numpy column per record
-field, 77 B per row where a tuple of 15 Python objects took ~360 B.
-traces.csv is written from those columns, one column and one run at a time.
+numpy structured array, one packed 77 B row per record where a tuple of 15
+Python objects took ~360 B; traces.csv is written from it one run and one
+field at a time, each row led by the run's five values from its RunOutcome.
 """
 
 import csv
@@ -74,8 +74,8 @@ TRACE_RECORD_FIELDS = {
 TRACE_COLUMNS = TRACE_RUN_COLUMNS + tuple(TRACE_RECORD_FIELDS)
 _record_values = operator.attrgetter(*TRACE_RECORD_FIELDS.values())
 
-# A record field annotated T or Optional[T] stores as a column of T's dtype;
-# an Optional one adds a mask of its None entries.
+# A record field annotated T or Optional[T] is stored in a trace field of
+# T's dtype; an Optional one adds a bool field marking its None entries.
 _DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
 
 
@@ -91,7 +91,14 @@ def _column_kind(annotation):
 
 
 _RECORD_TYPES = typing.get_type_hints(IterationRecord)
-_COLUMN_KINDS = tuple(_column_kind(_RECORD_TYPES[name]) for name in TRACE_RECORD_FIELDS.values())
+# (column, dtype, the field marking its None entries or None), in TRACE_RECORD_FIELDS order
+_TRACE_FIELDS = tuple(
+    (column, dtype, f"{column}_none" if optional else None)
+    for column, name in TRACE_RECORD_FIELDS.items()
+    for dtype, optional in [_column_kind(_RECORD_TYPES[name])])
+# One row per record, packed (numpy's default alignment): 77 B today
+_TRACE_DTYPE = np.dtype([(column, dtype) for column, dtype, _ in _TRACE_FIELDS]
+                        + [(none, np.bool_) for _, _, none in _TRACE_FIELDS if none])
 
 
 def delta_opt(phi_best, phi_star):
@@ -205,62 +212,21 @@ class ExperimentSpec:
                                      f"{exc}") from exc
 
 
-def _masked(values, none, fill):
-    """The list values with fill where the mask none is set (none = None: no mask)."""
-    if none is not None:
-        for i in np.flatnonzero(none).tolist():
-            values[i] = fill
-    return values
+def _trace_array(records):
+    """records as one _TRACE_DTYPE row each.
 
-
-class TraceRows:
-    """One run's trace rows, stored as typed columns.
-
-    run_values holds the run's TRACE_RUN_COLUMNS values once.  columns holds
-    one numpy array per TRACE_RECORD_FIELDS field, typed by the field's
-    IterationRecord annotation: int64 for int, float64 for float, bool for
-    bool.  nones holds, per column, a bool mask of the records whose field
-    was None if the field is Optional, else None; None is not stored as NaN,
-    because s.y can be a real NaN.
-
-    It reads as the sequence of row tuples: len() is the number of rows, and
-    iterating or indexing gives run_values + the record's field values as
-    Python objects of each field's annotated type (None where it was None).
+    None is marked in its own field and stored as 0, not as NaN, because
+    s.y can be a real NaN.
     """
-
-    __slots__ = ("run_values", "columns", "nones")
-
-    def __init__(self, run_values, records):
-        self.run_values = tuple(run_values)
-        fields = list(zip(*map(_record_values, records))) or [()] * len(_COLUMN_KINDS)
-        columns, nones = [], []
-        for values, (dtype, optional) in zip(fields, _COLUMN_KINDS):
-            none = None
-            if optional:
-                none = np.array([v is None for v in values], dtype=bool)
-                if none.any():
-                    values = [0 if v is None else v for v in values]
-            columns.append(np.array(values, dtype=dtype))
-            nones.append(none)
-        self.columns = tuple(columns)
-        self.nones = tuple(nones)
-
-    def __len__(self):
-        return len(self.columns[0])
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]
-        return self.run_values + tuple(
-            None if none is not None and none[i] else column.item(i)
-            for column, none in zip(self.columns, self.nones))
-
-    def __iter__(self):
-        fields = [_masked(column.tolist(), none, None)
-                  for column, none in zip(self.columns, self.nones)]
-        return (self.run_values + row for row in zip(*fields))
-
-    def __repr__(self):
-        return f"TraceRows({self.run_values!r}, {len(self)} rows)"
+    rows = np.empty(len(records), dtype=_TRACE_DTYPE)
+    for values, (column, dtype, none) in zip(zip(*map(_record_values, records)), _TRACE_FIELDS):
+        if none is not None:
+            is_none = [v is None for v in values]
+            rows[none] = is_none
+            if any(is_none):
+                values = [0 if v is None else v for v in values]
+        rows[column] = np.array(values, dtype=dtype)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -273,7 +239,9 @@ class RunOutcome:
     n_iterations: int
     failed: bool
     failure: Optional[str] = None
-    trace_rows: Union[TraceRows, Tuple[()]] = ()  # () when the run kept no records
+    # one _TRACE_DTYPE row per record; () when the run kept no records.  Not
+    # compared or hashed: an array has no single truth value and no hash.
+    trace_rows: Union[np.ndarray, Tuple[()]] = field(default=(), compare=False)
 
 
 @dataclass
@@ -331,8 +299,7 @@ def run_one(spec, problem_ref, method, cell, rep):
         trace = minimize(problem, config)
     else:
         trace = minimize_baseline_bfgs(problem, config)
-    run_values = (problem.name, method, cell.eps_f, cell.eps_g, rep)  # TRACE_RUN_COLUMNS
-    rows = TraceRows(run_values, trace.records) if trace.records else ()
+    rows = _trace_array(trace.records) if trace.records else ()
     return RunOutcome(
         problem=problem.name,
         method=method,
@@ -347,8 +314,8 @@ def run_one(spec, problem_ref, method, cell, rep):
 
 
 def _run_job(args):
-    spec, (pi, mi, ci, rep) = args
-    return run_one(spec, spec.problems[pi], spec.methods[mi], spec.cells[ci], rep)
+    spec, (problem_ref, method, cell, rep) = args
+    return run_one(spec, problem_ref, method, cell, rep)
 
 
 def _format(value):
@@ -381,9 +348,13 @@ _TEXT = {np.int64: str, np.float64: repr, np.bool_: lambda v: "1" if v else "0"}
 
 
 def _text_columns(rows):
-    """Each of rows' columns as the list of its traces.csv fields."""
-    for column, none in zip(rows.columns, rows.nones):
-        yield _masked(list(map(_TEXT[column.dtype.type], column.tolist())), none, "")
+    """Each of rows' record fields as the list of its traces.csv fields."""
+    for column, dtype, none in _TRACE_FIELDS:
+        text = list(map(_TEXT[dtype], rows[column].tolist()))
+        if none is not None:
+            for i in np.flatnonzero(rows[none]).tolist():
+                text[i] = ""  # None
+        yield text
 
 
 def write_traces_csv(path, outcomes):
@@ -396,8 +367,10 @@ def write_traces_csv(path, outcomes):
             if not len(rows):
                 continue
             # the run values lead every row; csv quotes them as the header's writer would
+            run_values = (outcome.problem, outcome.method, outcome.cell.eps_f,
+                          outcome.cell.eps_g, outcome.rep)  # TRACE_RUN_COLUMNS
             lead = io.StringIO()
-            csv.writer(lead, lineterminator=",").writerow([_format(v) for v in rows.run_values])
+            csv.writer(lead, lineterminator=",").writerow([_format(v) for v in run_values])
             lead = lead.getvalue()
             fh.writelines(lead + ",".join(fields) + "\n" for fields in zip(*_text_columns(rows)))
 
@@ -405,7 +378,9 @@ def write_traces_csv(path, outcomes):
 def run_experiment(spec):
     """Run the full sweep, write CSVs under spec.out_dir, return the result.
 
-    spec.out_dir is created before the first run; ConfigError if it cannot be.
+    spec.out_dir and each CSV the sweep writes are created before the first
+    run; ConfigError if one cannot be.  An existing CSV is overwritten only
+    once the sweep has run.
     """
     out = Path(spec.out_dir)
     try:
@@ -413,46 +388,46 @@ def run_experiment(spec):
     except OSError as exc:
         raise ConfigError(f"[experiment] out_dir = {spec.out_dir}: cannot create a "
                           f"directory there ({exc.strerror})") from exc
+    summary_path = out / "summary.csv"
+    traces_path = out / "traces.csv" if spec.record_traces else None
+    for path in filter(None, (summary_path, traces_path)):
+        try:
+            open(path, "ab").close()  # creates the file, truncates nothing
+        except OSError as exc:
+            raise ConfigError(f"[experiment] out_dir = {spec.out_dir}: cannot write "
+                              f"{path.name} there ({exc.strerror})") from exc
+    # in (problem, method, cell, replicate) order: a cell's replicates are consecutive
     jobs = [
-        (pi, mi, ci, rep)
-        for pi in range(len(spec.problems))
-        for mi in range(len(spec.methods))
-        for ci in range(len(spec.cells))
+        (problem_ref, method, cell, rep)
+        for problem_ref in spec.problems
+        for method in spec.methods
+        for cell in spec.cells
         for rep in range(spec.replicates)
     ]
     if spec.workers > 1:
         # imported only here: the process pool's module costs a process ~1 MB of
         # RSS and ~25 ms of start-up, and workers = 1 never uses it
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # spawned, not forked: numpy's BLAS threads already run in this process
+        with ProcessPoolExecutor(max_workers=spec.workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             outcomes = list(pool.map(_run_job, [(spec, job) for job in jobs], chunksize=4))
     else:
         outcomes = [_run_job((spec, job)) for job in jobs]
 
-    result = ExperimentResult(n_runs=len(outcomes))
-    by_cell = {}
-    for job, outcome in zip(jobs, outcomes):
-        by_cell.setdefault(job[:3], []).append(outcome)
-        if outcome.failed:
-            result.failed.append(outcome)
-    for pi in range(len(spec.problems)):
-        for mi in range(len(spec.methods)):
-            for ci in range(len(spec.cells)):
-                group = by_cell[(pi, mi, ci)]
-                kept = [o for o in group if math.isfinite(o.dopt)]
-                result.n_dropped += len(group) - len(kept)
-                if not kept:
-                    continue
-                stats = summarize([o.dopt for o in kept], [o.n_iterations for o in kept])
-                result.rows.append(
-                    SummaryRow(group[0].problem, group[0].method, group[0].cell, stats)
-                )
-    summary_path = out / "summary.csv"
+    result = ExperimentResult(n_runs=len(outcomes), failed=[o for o in outcomes if o.failed])
+    for i in range(0, len(outcomes), spec.replicates):
+        group = outcomes[i:i + spec.replicates]
+        kept = [o for o in group if math.isfinite(o.dopt)]
+        result.n_dropped += len(group) - len(kept)
+        if kept:
+            stats = summarize([o.dopt for o in kept], [o.n_iterations for o in kept])
+            result.rows.append(SummaryRow(group[0].problem, group[0].method, group[0].cell, stats))
     write_summary_csv(summary_path, result.rows)
     result.summary_path = str(summary_path)
-    if spec.record_traces:
-        traces_path = out / "traces.csv"
+    if traces_path is not None:
         write_traces_csv(traces_path, outcomes)
         result.traces_path = str(traces_path)
     return result

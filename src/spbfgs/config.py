@@ -1,4 +1,5 @@
-"""Run-configuration files: flat key = value entries under [section] headers.
+"""Run-configuration files: flat key = value entries under [section] headers,
+read as UTF-8 whatever the locale.
 
 One table, KEYS, maps each [section] key to the dataclass field it sets
 (of ExperimentSpec, LineSearchConfig or PenaltyPolicy) and its parser.
@@ -140,10 +141,12 @@ def load_experiment(path, overrides=()):
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # the same spec whatever the locale
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     sources = {}

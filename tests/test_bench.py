@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from spbfgs.bench import (
     RunOutcome,
     SummaryRow,
     SummaryStats,
-    TraceRows,
     delta_opt,
     resolve_cell,
     run_experiment,
@@ -247,7 +247,8 @@ class TestRunOne:
         spec = small_spec(tmp_path, record_traces=True)
         out = run_one(spec, ProblemRef("rosenbrock"), "bfgs", NoiseSpec(0.0, 0.0), 1)
         assert len(out.trace_rows) == out.n_iterations + 1
-        assert all(len(row) == 15 for row in out.trace_rows)
+        assert out.trace_rows["k"].tolist() == list(range(out.n_iterations + 1))
+        assert out.trace_rows["evals"][-1] <= spec.budget_evals
 
     @pytest.mark.parametrize("record_traces", [False, True])
     def test_records_kept_only_for_traces(self, tmp_path, monkeypatch, record_traces):
@@ -273,10 +274,12 @@ class TestRunOne:
             f.name for f in dataclasses.fields(IterationRecord)}
         spec = small_spec(tmp_path, record_traces=True)
         out = run_one(spec, ProblemRef("beale"), "bfgs", NoiseSpec(1e-6, 1e-4), 2)
-        row = dict(zip(TRACE_COLUMNS, out.trace_rows[1]))
-        assert (row["problem"], row["method"], row["eps_f"], row["eps_g"], row["rep"]) == (
-            "beale", "bfgs", 1e-6, 1e-4, 2)
-        assert row["k"] == 1 and isinstance(row["curvature_failed"], bool)
+        rows = out.trace_rows
+        assert set(TRACE_RECORD_FIELDS) <= set(rows.dtype.names)
+        assert (out.problem, out.method, out.cell, out.rep) == (
+            "beale", "bfgs", NoiseSpec(1e-6, 1e-4), 2)
+        assert rows["k"].tolist()[1] == 1
+        assert isinstance(rows["curvature_failed"].tolist()[1], bool)
 
     @pytest.mark.parametrize("linesearch, expected", [
         (LineSearchConfig(eps_armijo=None), 1e-3),  # the spec's default: the cell's eps_f
@@ -310,7 +313,7 @@ def _typed(row):
 
 
 def _tuple_rows(run_values, records):
-    """The rows as 15-tuples of Python objects, as RunOutcome held them before TraceRows."""
+    """The rows as 15-tuples of Python objects, as RunOutcome once held them."""
     return [run_values + spbfgs.bench._record_values(rec) for rec in records]
 
 
@@ -323,10 +326,12 @@ def _write_tuple_rows(path, rows):
             writer.writerow([spbfgs.bench._format(v) for v in row])
 
 
-def _outcome(rows):
-    """An outcome holding rows; the writer reads its run values from rows alone."""
-    return RunOutcome(problem="p", method="spbfgs", cell=NoiseSpec(0.0, 0.0), rep=0,
-                      dopt=0.0, n_iterations=0, failed=False, trace_rows=rows)
+def _field_values(rows, column):
+    """One trace field as Python objects, None where its None field is set."""
+    values = rows[column].tolist()
+    if f"{column}_none" in rows.dtype.names:
+        values = [None if none else v for v, none in zip(values, rows[f"{column}_none"].tolist())]
+    return values
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
@@ -337,8 +342,11 @@ records = st.builds(
     IterationRecord, k=ints, x=st.just(np.zeros(1)), f_measured=floats, phi=floats,
     grad_norm=floats, evals_so_far=ints, alpha=st.none() | floats, beta=st.none() | floats,
     sty=st.none() | floats, curvature_failed=st.booleans(), trace_h=st.none() | floats)
+# what a valid NoiseSpec holds: finite, >= 0, -0.0 included
+cell_levels = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e-6]),
+                        st.floats(min_value=0.0, allow_infinity=False))
 run_values = st.tuples(st.sampled_from(["rosenbrock", "a,b", 'q"x', ""]),
-                       st.sampled_from(["spbfgs", "bfgs"]), floats, floats, ints)
+                       st.sampled_from(["spbfgs", "bfgs"]), cell_levels, cell_levels, ints)
 
 
 class TestTraceRows:
@@ -347,37 +355,35 @@ class TestTraceRows:
     def test_rows_and_bytes_match_tuple_rows(self, tmp_path_factory, runs):
         outcomes, expected = [], []
         for values, recs in runs:
-            rows = TraceRows(values, recs)
-            old = _tuple_rows(values, recs)
-            assert len(rows) == len(old)
-            assert [_typed(r) for r in rows] == [_typed(r) for r in old]
-            assert [_typed(rows[i]) for i in range(-len(old), len(old))] == \
-                [_typed(r) for r in old + old]
-            outcomes.append(_outcome(rows))
-            expected += old
+            rows = spbfgs.bench._trace_array(recs)
+            assert len(rows) == len(recs)
+            for column, name in TRACE_RECORD_FIELDS.items():
+                assert _typed(_field_values(rows, column)) == \
+                    _typed([getattr(rec, name) for rec in recs])
+            problem, method, eps_f, eps_g, rep = values
+            outcomes.append(RunOutcome(problem=problem, method=method,
+                                       cell=NoiseSpec(eps_f, eps_g), rep=rep, dopt=0.0,
+                                       n_iterations=0, failed=False, trace_rows=rows))
+            expected += _tuple_rows(values, recs)
         folder = tmp_path_factory.mktemp("traces")
         write_traces_csv(folder / "columns.csv", outcomes)
         _write_tuple_rows(folder / "tuples.csv", expected)
         assert (folder / "columns.csv").read_bytes() == (folder / "tuples.csv").read_bytes()
-
-    def test_index_out_of_range(self):
-        record = IterationRecord(0, None, 1.0, 1.0, 1.0, 1)
-        rows = TraceRows(("cube", "bfgs", 0.0, 0.0, 0), [record])
-        assert rows[0][5:] == (0, 1.0, 1.0, 1.0, None, None, None, False, None, 1)
-        with pytest.raises(IndexError):
-            rows[1]
 
     def test_pickle_round_trip(self, tmp_path):
         spec = small_spec(tmp_path, record_traces=True)
         out = run_one(spec, ProblemRef("beale"), "spbfgs", NoiseSpec(1e-6, 1e-4), 1)
         back = pickle.loads(pickle.dumps(out))
         assert len(back.trace_rows) == len(out.trace_rows) > 1
-        assert [_typed(r) for r in back.trace_rows] == [_typed(r) for r in out.trace_rows]
+        assert back.trace_rows.dtype == out.trace_rows.dtype
+        for column in back.trace_rows.dtype.names:
+            assert _typed(back.trace_rows[column].tolist()) == \
+                _typed(out.trace_rows[column].tolist())
         assert dataclasses.replace(back, trace_rows=()) == dataclasses.replace(out, trace_rows=())
 
     def test_outcome_holds_few_bytes_per_row(self, tmp_path):
-        # tuple rows held ~360 B per row; the columns hold ~80 B (8 per
-        # number, 1 per bool or None mask) plus a fixed cost per run
+        # tuple rows held ~360 B per row; a packed row holds 77 B (8 per
+        # number, 1 per bool or None field) plus a fixed cost per run
         spec = small_spec(tmp_path, record_traces=True, budget_evals=2000)
         args = (ProblemRef("cube"), "spbfgs", NoiseSpec(0.0, 0.0), 0)
         run_one(spec, *args)  # first-call allocations are not the outcome's
@@ -442,6 +448,24 @@ class TestRunExperiment:
         for name in ("summary.csv", "traces.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
+
+    def test_workers_are_spawned(self, tmp_path, monkeypatch):
+        # forking a process that already runs numpy's BLAS threads can deadlock the child
+        import concurrent.futures
+
+        class Recorded(Exception):
+            pass
+
+        seen = []
+
+        def spy(max_workers, mp_context=None):
+            seen.append((max_workers, mp_context and mp_context.get_start_method()))
+            raise Recorded  # no process is started
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        with pytest.raises(Recorded):
+            run_experiment(small_spec(tmp_path, replicates=1, workers=2))
+        assert seen == [(2, "spawn")]
 
     def test_serial_sweep_never_imports_the_process_pool(self, tmp_path):
         # a fresh interpreter: this one may have imported it for workers = 2
@@ -545,6 +569,12 @@ class TestConfigFile:
         assert spec.linesearch.eps_armijo is None
         assert spec.policy.kind == "scaled"
         assert spec.policy.scale == 1e8
+
+    def test_reads_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "utf8.ini"
+        path.write_bytes("# caf\u00e9 \u2014 r\u00e9sum\u00e9\n[experiment]\nproblems = cube"
+                         "\nout_dir = r\u00e9sultats\n".encode("utf-8"))
+        assert load_experiment(path).out_dir == "r\u00e9sultats"
 
     def test_defaults(self, tmp_path):
         path = tmp_path / "min.ini"
@@ -666,6 +696,51 @@ class TestCli:
         out_dir = blocker / below
         assert cli_main(["run", str(path), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith(f"error: [experiment] out_dir = {out_dir}: ")
+
+    @pytest.mark.parametrize("name, argv", [("summary.csv", []), ("traces.csv", ["--trace"])],
+                             ids=["summary", "traces"])
+    def test_run_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, name, argv):
+        # each ran the whole sweep, then ended in an IsADirectoryError traceback
+        out_dir = tmp_path / "out"
+        (out_dir / name).mkdir(parents=True)
+        (out_dir / "old.csv").write_text("kept\n")
+        calls = []
+        monkeypatch.setattr("spbfgs.bench.run_one", lambda *args: calls.append(args))
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nproblems = rosenbrock\nworkers = 1\n")
+        assert cli_main(["run", str(path), "--out-dir", str(out_dir), *argv]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith(
+            f"error: [experiment] out_dir = {out_dir}: cannot write {name} there (")
+        assert (out_dir / "old.csv").read_text() == "kept\n"
+
+    def test_run_keeps_old_outputs_until_the_sweep_has_run(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name in ("summary.csv", "traces.csv"):
+            (out_dir / name).write_text("old\n")
+        seen = []
+        run_one = spbfgs.bench.run_one
+
+        def spy(*args):
+            seen.append([(out_dir / name).read_text() for name in ("summary.csv", "traces.csv")])
+            return run_one(*args)
+
+        monkeypatch.setattr("spbfgs.bench.run_one", spy)
+        spec = small_spec(tmp_path, replicates=1, budget_evals=50, record_traces=True,
+                          out_dir=str(out_dir))
+        run_experiment(spec)
+        assert seen == [["old\n", "old\n"]] * 4
+        assert (out_dir / "summary.csv").read_text().startswith("problem,method,")
+        assert (out_dir / "traces.csv").read_text().startswith("problem,method,")
+
+    def test_run_config_not_utf8_exits_2(self, tmp_path, capsys):
+        # a Latin-1 comment ended in a UnicodeDecodeError traceback
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("# caf\u00e9\n[experiment]\nproblems = cube\n".encode("latin-1"))
+        assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: not UTF-8 text (")
+        assert not (tmp_path / "out").exists()
 
     def test_run_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
@@ -828,6 +903,38 @@ class TestBenchmarkContract:
         write_traces_csv(tmp_path / "all.csv", outcomes)
         assert len((tmp_path / "all.csv").read_text().splitlines()) == \
             1 + sum(len(o.trace_rows) for o in outcomes)
+
+    def test_traced_outcome_compares_and_hashes(self, tmp_path):
+        spec = small_spec(tmp_path, record_traces=True)
+        args = (spec, ProblemRef("rosenbrock"), "spbfgs", NoiseSpec(1e-6, 1e-4), 0)
+        out, again = run_one(*args), run_one(*args)
+        assert len(out.trace_rows) > 1
+        assert out == again and hash(out) == hash(again)
+        assert out != dataclasses.replace(out, rep=1)
+
+    def test_traced_outcome_survives_pickle_and_replace(self, tmp_path):
+        spec = small_spec(tmp_path, record_traces=True)
+        out = run_one(spec, ProblemRef("beale"), "bfgs", NoiseSpec(1e-6, 1e-4), 0)
+        back = pickle.loads(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+        assert back == out and len(back.trace_rows) == len(out.trace_rows) > 1
+        assert back.trace_rows.tobytes() == out.trace_rows.tobytes()
+        dropped = dataclasses.replace(back, trace_rows=())
+        assert dropped == out and len(dropped.trace_rows) == 0
+
+    def test_trace_fields_follow_the_record_annotations(self):
+        # 8 B per int or float, 1 B per bool, one bool None field per Optional column
+        dtypes = {int: np.dtype(np.int64), float: np.dtype(np.float64), bool: np.dtype(bool)}
+        hints = typing.get_type_hints(IterationRecord)
+        expected = {}
+        for column, name in TRACE_RECORD_FIELDS.items():
+            kind = [t for t in typing.get_args(hints[name]) or [hints[name]] if t is not type(None)]
+            expected[column] = dtypes[kind[0]]
+            if type(None) in typing.get_args(hints[name]):
+                expected[f"{column}_none"] = np.dtype(bool)
+        trace_dtype = spbfgs.bench._TRACE_DTYPE
+        assert {name: trace_dtype.fields[name][0] for name in trace_dtype.names} == expected
+        assert sum(name.endswith("_none") for name in expected) == 4
+        assert trace_dtype.itemsize == 77
 
     def test_trace_rows_can_be_dropped(self, tmp_path):
         spec = small_spec(tmp_path, record_traces=True)
