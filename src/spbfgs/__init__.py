@@ -44,7 +44,6 @@ from .errors import (
 from .linesearch import LineSearchConfig, armijo_ok, backtrack
 from .noise import NoiseSpec, NoisyOracle, sample_ball
 from .optimizer import (
-    IterationRecord,
     RunConfig,
     RunTrace,
     minimize,

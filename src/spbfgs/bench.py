@@ -24,18 +24,16 @@ relative factors; the resolved absolute levels scale with |phi(x0)| and
 ||grad phi(x0)|| per problem; each run's RunConfig resolves the spec's
 policy and Armijo slack (eps_armijo = None, the default) against them.
 Optional long-format per-iteration traces (one row per iteration per run)
-support convergence and penalty plots.  A traced run keeps its rows as one
-numpy structured array, one packed 77 B row per record where a tuple of 15
-Python objects took ~360 B; traces.csv is written from it one run and one
-field at a time, each row led by the run's five values from its RunOutcome.
+support convergence and penalty plots.  A traced run keeps the driver's
+records, one packed optimizer.RECORD_DTYPE row (98 B) per iterate;
+traces.csv is written from them one run and one field at a time, each row
+led by the run's five values from its RunOutcome.
 """
 
 import csv
 import hashlib
 import io
 import math
-import operator
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
@@ -45,7 +43,7 @@ import numpy as np
 from .errors import ConfigError, EmptyCellError
 from .linesearch import LineSearchConfig
 from .noise import NoiseSpec
-from .optimizer import IterationRecord, RunConfig, minimize, minimize_baseline_bfgs
+from .optimizer import RunConfig, minimize, minimize_baseline_bfgs
 from .policy import PenaltyPolicy
 from .problems import get_problem
 
@@ -56,49 +54,13 @@ SUMMARY_COLUMNS = (
     "mean_dopt", "median_dopt", "min_dopt", "max_dopt", "var_dopt", "mean_iters",
 )
 
-# Trace CSV: five columns name the run, then one column per IterationRecord
-# field (column -> field); both the header and every row derive from these.
+# Trace CSV: five columns name the run, then the record fields it writes,
+# each one a field of the run's records; both the header and every row
+# derive from these.
 TRACE_RUN_COLUMNS = ("problem", "method", "eps_f", "eps_g", "rep")
-TRACE_RECORD_FIELDS = {
-    "k": "k",
-    "phi": "phi",
-    "grad_norm": "grad_norm",
-    "f_measured": "f_measured",
-    "alpha": "alpha",
-    "beta": "beta",
-    "sty": "sty",
-    "curvature_failed": "curvature_failed",
-    "trace_h": "trace_h",
-    "evals": "evals_so_far",
-}
-TRACE_COLUMNS = TRACE_RUN_COLUMNS + tuple(TRACE_RECORD_FIELDS)
-_record_values = operator.attrgetter(*TRACE_RECORD_FIELDS.values())
-
-# A record field annotated T or Optional[T] is stored in a trace field of
-# T's dtype; an Optional one adds a bool field marking its None entries.
-_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
-
-
-def _column_kind(annotation):
-    """(dtype, optional) of the trace column of a field with this annotation."""
-    args = typing.get_args(annotation)
-    optional = type(None) in args
-    if optional:
-        (annotation,) = [a for a in args if a is not type(None)]
-    if annotation not in _DTYPES:
-        raise TypeError(f"a trace column needs an int, float or bool field, got {annotation!r}")
-    return _DTYPES[annotation], optional
-
-
-_RECORD_TYPES = typing.get_type_hints(IterationRecord)
-# (column, dtype, the field marking its None entries or None), in TRACE_RECORD_FIELDS order
-_TRACE_FIELDS = tuple(
-    (column, dtype, f"{column}_none" if optional else None)
-    for column, name in TRACE_RECORD_FIELDS.items()
-    for dtype, optional in [_column_kind(_RECORD_TYPES[name])])
-# One row per record, packed (numpy's default alignment): 77 B today
-_TRACE_DTYPE = np.dtype([(column, dtype) for column, dtype, _ in _TRACE_FIELDS]
-                        + [(none, np.bool_) for _, _, none in _TRACE_FIELDS if none])
+TRACE_RECORD_COLUMNS = ("k", "phi", "grad_norm", "f_measured", "alpha", "beta", "sty",
+                        "curvature_failed", "trace_h", "evals")
+TRACE_COLUMNS = TRACE_RUN_COLUMNS + TRACE_RECORD_COLUMNS
 
 
 def delta_opt(phi_best, phi_star):
@@ -212,23 +174,6 @@ class ExperimentSpec:
                                      f"{exc}") from exc
 
 
-def _trace_array(records):
-    """records as one _TRACE_DTYPE row each.
-
-    None is marked in its own field and stored as 0, not as NaN, because
-    s.y can be a real NaN.
-    """
-    rows = np.empty(len(records), dtype=_TRACE_DTYPE)
-    for values, (column, dtype, none) in zip(zip(*map(_record_values, records)), _TRACE_FIELDS):
-        if none is not None:
-            is_none = [v is None for v in values]
-            rows[none] = is_none
-            if any(is_none):
-                values = [0 if v is None else v for v in values]
-        rows[column] = np.array(values, dtype=dtype)
-    return rows
-
-
 @dataclass(frozen=True)
 class RunOutcome:
     problem: str
@@ -239,7 +184,7 @@ class RunOutcome:
     n_iterations: int
     failed: bool
     failure: Optional[str] = None
-    # one _TRACE_DTYPE row per record; () when the run kept no records.  Not
+    # the run's records (RECORD_DTYPE rows); () when it kept none.  Not
     # compared or hashed: an array has no single truth value and no hash.
     trace_rows: Union[np.ndarray, Tuple[()]] = field(default=(), compare=False)
 
@@ -299,7 +244,7 @@ def run_one(spec, problem_ref, method, cell, rep):
         trace = minimize(problem, config)
     else:
         trace = minimize_baseline_bfgs(problem, config)
-    rows = _trace_array(trace.records) if trace.records else ()
+    rows = trace.records if len(trace.records) else ()
     return RunOutcome(
         problem=problem.name,
         method=method,
@@ -343,15 +288,17 @@ def write_summary_csv(path, rows):
             ])
 
 
-# How a value of each column dtype is written: as _format writes its Python value
-_TEXT = {np.int64: str, np.float64: repr, np.bool_: lambda v: "1" if v else "0"}
+# How a value of each dtype kind is written: as _format writes its Python value
+_TEXT = {"i": str, "f": repr, "b": lambda v: "1" if v else "0"}
 
 
 def _text_columns(rows):
-    """Each of rows' record fields as the list of its traces.csv fields."""
-    for column, dtype, none in _TRACE_FIELDS:
-        text = list(map(_TEXT[dtype], rows[column].tolist()))
-        if none is not None:
+    """Each of rows' TRACE_RECORD_COLUMNS as the list of its traces.csv fields."""
+    for column in TRACE_RECORD_COLUMNS:
+        values = rows[column]
+        text = list(map(_TEXT[values.dtype.kind], values.tolist()))
+        none = f"{column}_none"
+        if none in rows.dtype.names:
             for i in np.flatnonzero(rows[none]).tolist():
                 text[i] = ""  # None
         yield text

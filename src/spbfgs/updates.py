@@ -62,8 +62,8 @@ from .errors import (
     SingularDenominatorError,
 )
 
-# is_positive_definite fails a pivot at or below this absolute tolerance
-_PIVOT_TOL = 1e-12
+# float64 machine epsilon, 2**-52; see is_positive_definite
+_EPS = float(np.finfo(float).eps)
 
 
 def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
@@ -97,19 +97,29 @@ def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
 
 
 def is_positive_definite(a):
-    """Cholesky-style test: success iff every pivot exceeds 1e-12.
+    """Cholesky-style test: success iff every pivot exceeds n * eps * max_i a_ii.
 
-    Runs a plain (unpivoted-order) Cholesky factorization and fails as soon
-    as a diagonal pivot is non-finite or <= 1e-12 (an absolute tolerance).
+    The largest diagonal entry must be positive and finite.  Rounding moves
+    a computed pivot by up to about n * eps times it, so a pivot within that
+    of zero is not told from zero; scaling by it judges a matrix of tiny or
+    huge entries as the same matrix scaled to order one.  Runs a plain
+    (unpivoted-order) Cholesky factorization and fails as soon as a
+    diagonal pivot is non-finite or at or below the tolerance.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
+    if n == 0:
+        return True
+    scale = float(a.diagonal().max())
+    if not (math.isfinite(scale) and scale > 0.0):
+        return False
+    tol = n * _EPS * scale
     lower = np.zeros_like(a)
     for k in range(n):
         d = a[k, k] - lower[k, :k] @ lower[k, :k]
-        if not math.isfinite(d) or d <= _PIVOT_TOL:
+        if not math.isfinite(d) or d <= tol:
             return False
         lower[k, k] = math.sqrt(d)
         if k + 1 < n:

@@ -99,9 +99,9 @@ def test_c06_ill_conditioned_quadratic_demo():
                                budget_iters=100,
                                seed=run_seed(0, prob.name, method, cell, rep))
             trace = run(prob, config)
-            final = trace.final_record
-            assert final.k == 100
-            dopts[method].append(math.log10(final.phi - prob.phi_star))
+            final = trace.records[-1]
+            assert final["k"] == 100
+            dopts[method].append(math.log10(float(final["phi"]) - prob.phi_star))
             fails[method].append(trace.n_curvature_failures)
     sp_mean = float(np.mean(dopts["spbfgs"]))
     bl_mean = float(np.mean(dopts["bfgs"]))
@@ -191,7 +191,7 @@ def test_c09_fixed_step_envelope():
             config = RunConfig(policy=policy, linesearch=linesearch, noise=NoiseSpec(0.0, 1.0),
                                budget_iters=n_iters, seed=seed)
             trace = minimize(problem, config)
-            phis = [r.phi for r in trace.records]
+            phis = trace.records["phi"].tolist()
             ok, violations = qlinear_envelope_holds(phis, alpha, problem, 1.0, 1.0, 1.0)
             total_violations += len(violations)
     report("c09 fixed-step-envelope",

@@ -9,7 +9,6 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ import spbfgs.bench
 import spbfgs.verify
 from spbfgs.bench import (
     TRACE_COLUMNS,
-    TRACE_RECORD_FIELDS,
+    TRACE_RECORD_COLUMNS,
     ExperimentSpec,
     ProblemRef,
     RunOutcome,
@@ -41,7 +40,7 @@ from spbfgs.config import load_experiment
 from spbfgs.errors import ConfigError, EmptyCellError
 from spbfgs.linesearch import LineSearchConfig
 from spbfgs.noise import NoiseSpec
-from spbfgs.optimizer import IterationRecord, RunConfig
+from spbfgs.optimizer import ACTIONS, RECORD_DTYPE, RunConfig, _record_array
 from spbfgs.policy import PenaltyPolicy, propose_beta
 from spbfgs.problems import Problem
 
@@ -270,12 +269,12 @@ class TestRunOne:
             "problem", "method", "eps_f", "eps_g", "rep", "k", "phi", "grad_norm",
             "f_measured", "alpha", "beta", "sty", "curvature_failed", "trace_h", "evals",
         )
-        assert set(TRACE_RECORD_FIELDS.values()) <= {
-            f.name for f in dataclasses.fields(IterationRecord)}
+        assert TRACE_COLUMNS[5:] == TRACE_RECORD_COLUMNS
+        assert set(TRACE_RECORD_COLUMNS) <= set(RECORD_DTYPE.names)
         spec = small_spec(tmp_path, record_traces=True)
         out = run_one(spec, ProblemRef("beale"), "bfgs", NoiseSpec(1e-6, 1e-4), 2)
         rows = out.trace_rows
-        assert set(TRACE_RECORD_FIELDS) <= set(rows.dtype.names)
+        assert rows.dtype == RECORD_DTYPE
         assert (out.problem, out.method, out.cell, out.rep) == (
             "beale", "bfgs", NoiseSpec(1e-6, 1e-4), 2)
         assert rows["k"].tolist()[1] == 1
@@ -312,9 +311,14 @@ def _typed(row):
     return [(type(v), repr(v)) for v in row]
 
 
+# the driver's row tuples hold one value per RECORD_DTYPE field that is not a _none field
+VALUE_NAMES = [name for name in RECORD_DTYPE.names if not name.endswith("_none")]
+
+
 def _tuple_rows(run_values, records):
-    """The rows as 15-tuples of Python objects, as RunOutcome once held them."""
-    return [run_values + spbfgs.bench._record_values(rec) for rec in records]
+    """traces.csv's rows as 15-tuples of Python objects: the run's values, then the record's."""
+    picks = [VALUE_NAMES.index(column) for column in TRACE_RECORD_COLUMNS]
+    return [run_values + tuple(rec[i] for i in picks) for rec in records]
 
 
 def _write_tuple_rows(path, rows):
@@ -338,10 +342,13 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
                1.7976931348623157e308, 0.1, 1e-6]
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
 ints = st.one_of(st.sampled_from([0, 1, 2**53, -2**53]), st.integers(-2**53, 2**53))
-records = st.builds(
-    IterationRecord, k=ints, x=st.just(np.zeros(1)), f_measured=floats, phi=floats,
-    grad_norm=floats, evals_so_far=ints, alpha=st.none() | floats, beta=st.none() | floats,
-    sty=st.none() | floats, curvature_failed=st.booleans(), trace_h=st.none() | floats)
+# the driver's row tuples: values in VALUE_NAMES order, None where the step has none
+records = st.tuples(
+    ints, floats, floats, floats, ints,  # k, f_measured, phi, grad_norm, evals
+    st.none() | floats, st.none() | floats, st.none() | ints,  # alpha, f_accepted, n_trials
+    st.none() | floats, st.none() | floats,  # beta, sty
+    st.sampled_from(ACTIONS), st.booleans(),  # action, curvature_failed
+    st.none() | floats, st.none() | st.booleans())  # trace_h, pd_ok
 # what a valid NoiseSpec holds: finite, >= 0, -0.0 included
 cell_levels = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e-6]),
                         st.floats(min_value=0.0, allow_infinity=False))
@@ -355,11 +362,13 @@ class TestTraceRows:
     def test_rows_and_bytes_match_tuple_rows(self, tmp_path_factory, runs):
         outcomes, expected = [], []
         for values, recs in runs:
-            rows = spbfgs.bench._trace_array(recs)
-            assert len(rows) == len(recs)
-            for column, name in TRACE_RECORD_FIELDS.items():
-                assert _typed(_field_values(rows, column)) == \
-                    _typed([getattr(rec, name) for rec in recs])
+            rows = _record_array(recs)
+            assert rows.dtype == RECORD_DTYPE and len(rows) == len(recs)
+            for i, name in enumerate(VALUE_NAMES):
+                got = _field_values(rows, name)
+                if name == "action":
+                    got = [ACTIONS[code] for code in got]
+                assert _typed(got) == _typed([rec[i] for rec in recs]), name
             problem, method, eps_f, eps_g, rep = values
             outcomes.append(RunOutcome(problem=problem, method=method,
                                        cell=NoiseSpec(eps_f, eps_g), rep=rep, dopt=0.0,
@@ -382,8 +391,8 @@ class TestTraceRows:
         assert dataclasses.replace(back, trace_rows=()) == dataclasses.replace(out, trace_rows=())
 
     def test_outcome_holds_few_bytes_per_row(self, tmp_path):
-        # tuple rows held ~360 B per row; a packed row holds 77 B (8 per
-        # number, 1 per bool or None field) plus a fixed cost per run
+        # tuple rows held ~360 B per row; a packed row holds 98 B (8 per
+        # number, 1 per action, bool or None field) plus a fixed cost per run
         spec = small_spec(tmp_path, record_traces=True, budget_evals=2000)
         args = (ProblemRef("cube"), "spbfgs", NoiseSpec(0.0, 0.0), 0)
         run_one(spec, *args)  # first-call allocations are not the outcome's
@@ -921,20 +930,18 @@ class TestBenchmarkContract:
         dropped = dataclasses.replace(back, trace_rows=())
         assert dropped == out and len(dropped.trace_rows) == 0
 
-    def test_trace_fields_follow_the_record_annotations(self):
-        # 8 B per int or float, 1 B per bool, one bool None field per Optional column
-        dtypes = {int: np.dtype(np.int64), float: np.dtype(np.float64), bool: np.dtype(bool)}
-        hints = typing.get_type_hints(IterationRecord)
-        expected = {}
-        for column, name in TRACE_RECORD_FIELDS.items():
-            kind = [t for t in typing.get_args(hints[name]) or [hints[name]] if t is not type(None)]
-            expected[column] = dtypes[kind[0]]
-            if type(None) in typing.get_args(hints[name]):
-                expected[f"{column}_none"] = np.dtype(bool)
-        trace_dtype = spbfgs.bench._TRACE_DTYPE
-        assert {name: trace_dtype.fields[name][0] for name in trace_dtype.names} == expected
-        assert sum(name.endswith("_none") for name in expected) == 4
-        assert trace_dtype.itemsize == 77
+    def test_trace_fields_are_one_record_dtype(self):
+        # 8 B per int or float, 1 B per action or bool, one bool None field
+        # per column that can hold no value; traces.csv writes a subset
+        names = RECORD_DTYPE.names
+        assert set(TRACE_RECORD_COLUMNS) <= set(names)
+        nones = [name for name in names if name.endswith("_none")]
+        assert nones == [f"{name}_none" for name in ("alpha", "f_accepted", "n_trials", "beta",
+                                                      "sty", "trace_h", "pd_ok")]
+        assert all(RECORD_DTYPE[name] == np.dtype(bool) for name in nones)
+        assert {RECORD_DTYPE[name].kind for name in TRACE_RECORD_COLUMNS} == {"i", "f", "b"}
+        assert RECORD_DTYPE["action"] == np.dtype(np.int8) and ACTIONS[0] is None
+        assert RECORD_DTYPE.itemsize == 98
 
     def test_trace_rows_can_be_dropped(self, tmp_path):
         spec = small_spec(tmp_path, record_traces=True)

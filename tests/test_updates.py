@@ -512,6 +512,21 @@ class TestMatrixHelpers:
         v = np.array([1.0, 2.0])
         assert not is_positive_definite(np.outer(v, v))
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_pd_check_is_relative_to_the_scale(self, scale):
+        # the pivot tolerance scales with the largest diagonal entry, so a
+        # tiny or huge matrix is judged as the same matrix at order one
+        a = np.random.default_rng(0).standard_normal((4, 4))
+        assert is_positive_definite(scale * (a @ a.T + 0.5 * np.eye(4)))
+        assert not is_positive_definite(-scale * np.eye(4))
+        v = np.array([1.0, 2.0])
+        assert not is_positive_definite(scale * np.outer(v, v))
+
+    def test_pd_check_needs_a_positive_finite_diagonal(self):
+        assert not is_positive_definite(np.zeros((2, 2)))
+        assert not is_positive_definite(np.diag([math.inf, 1.0]))
+        assert is_positive_definite(np.zeros((0, 0)))
+
     def test_pd_check_nonfinite(self):
         a = np.eye(2)
         a[1, 1] = math.nan
