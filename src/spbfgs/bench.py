@@ -269,8 +269,6 @@ def _format(value):
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return repr(value)
     return str(value)
 

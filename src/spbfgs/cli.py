@@ -94,7 +94,7 @@ def _cmd_list_problems():
     print(f"{'name':<15}{'n':>4}  {'phi_star':>10}  notes")
     for name in list_problems():
         problem = get_problem(name)
-        print(f"{problem.name:<15}{problem.n:>4}  {problem.phi_star:>10}  {problem.notes}")
+        print(f"{problem.name:<15}{problem.n:>4}  {problem.phi_star:>10}  {problem.notes}".rstrip())
     return 0
 
 

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import CurvatureViolationError, DegenerateInputError, MissingMetadataError
+from .updates import _cholesky_factor
 
 # qlinear_envelope_holds allows each step this relative slack on the gap
 _REL_SLACK = 1e-12
@@ -106,15 +107,13 @@ def scaled_condition_number(h, hess_matrix):
 
     Both H and the Hessian must be positive definite; measures how well H
     preconditions the problem (1 would be a perfect inverse Hessian up to
-    scale).
+    scale).  L is updates._cholesky_factor's, so DegenerateInputError is
+    raised for H exactly when is_positive_definite(H) is False.
     """
-    h = np.asarray(h, dtype=float)
-    a = np.asarray(hess_matrix, dtype=float)
-    try:
-        lower = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateInputError("H must be positive definite") from exc
-    vals = np.linalg.eigvalsh(lower.T @ a @ lower)
+    lower = _cholesky_factor(h)
+    if lower is None:
+        raise DegenerateInputError("H must be positive definite")
+    vals = np.linalg.eigvalsh(lower.T @ np.asarray(hess_matrix, dtype=float) @ lower)
     if vals[0] <= 0.0:
         raise DegenerateInputError(f"Hessian is not positive definite (min scaled eig {vals[0]})")
     return float(vals[-1] / vals[0])

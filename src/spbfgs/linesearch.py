@@ -54,8 +54,8 @@ def backtrack(eval_f, x, p, f_ref, gdotp, cfg, true_f=None, block=1):
     """Geometric backtracking from alpha0.
 
     eval_f is charged once per trial (budget accounting happens inside the
-    oracle it wraps).  Returns (alpha, f_new, n_trials); exhaustion gives
-    (0.0, f_ref, max_backtracks).
+    oracle it wraps).  Returns (alpha, x_new, f_new, n_trials), x_new the
+    accepted trial array; exhaustion gives (0.0, x, f_ref, max_backtracks).
 
     With true_f (a problem's stacked f) and block > 1, the trial points are
     formed block at a time as one (block, n) array, true_f gives their true
@@ -66,11 +66,12 @@ def backtrack(eval_f, x, p, f_ref, gdotp, cfg, true_f=None, block=1):
     alpha = cfg.alpha0
     if true_f is None or block <= 1:
         for trial in range(1, cfg.max_backtracks + 1):
-            f_trial = eval_f(x + alpha * p)
+            x_trial = x + alpha * p
+            f_trial = eval_f(x_trial)
             if armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
-                return alpha, f_trial, trial
+                return alpha, x_trial, f_trial, trial
             alpha *= cfg.tau
-        return 0.0, f_ref, cfg.max_backtracks
+        return 0.0, x, f_ref, cfg.max_backtracks
     trial = 0
     while trial < cfg.max_backtracks:
         alphas = []
@@ -83,5 +84,5 @@ def backtrack(eval_f, x, p, f_ref, gdotp, cfg, true_f=None, block=1):
             trial += 1
             f_trial = eval_f(x_j, phi_j)
             if armijo_ok(f_trial, f_ref, alpha_j, gdotp, cfg):
-                return alpha_j, f_trial, trial
-    return 0.0, f_ref, cfg.max_backtracks
+                return alpha_j, x_j, f_trial, trial
+    return 0.0, x, f_ref, cfg.max_backtracks

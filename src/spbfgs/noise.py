@@ -10,9 +10,7 @@ The oracle also keeps a noise-free side channel: it records the smallest
 true value seen at any evaluated point (phi_best), which is what benchmark
 accuracy is measured against, and the true value and true gradient of its
 latest measurements (last_phi, last_grad), which the driver's per-iterate
-records reuse instead of evaluating the problem again, and the point of
-its latest f measurement (_last_x, the array passed in, not a copy), which
-the driver takes as its next iterate after a step.  A caller that
+records reuse instead of evaluating the problem again.  A caller that
 already holds the true value at x passes it to f(x, phi): the measurement
 draws fresh noise and counts as usual, but the problem is not called.
 Only function evaluations count toward the optional evaluation budget;
@@ -43,6 +41,9 @@ class NoiseSpec:
             raise ValueError(f"eps_f must be finite and >= 0, got {self.eps_f}")
         if not (self.eps_g >= 0.0 and math.isfinite(self.eps_g)):
             raise ValueError(f"eps_g must be finite and >= 0, got {self.eps_g}")
+        # as Python floats: run_seed hashes their repr, and the CSVs write it
+        object.__setattr__(self, "eps_f", float(self.eps_f))
+        object.__setattr__(self, "eps_g", float(self.eps_g))
 
     @property
     def noiseless(self):
@@ -77,21 +78,19 @@ class NoisyOracle:
         self.phi_best = math.inf
         self.x_best = None
         self.last_phi = math.nan  # true value at the latest f measurement
-        self._last_x = None  # the array of the latest f measurement
         self.last_grad = None  # true gradient at the latest grad measurement
 
     def f(self, x, phi=None):
         """One noisy function measurement; raises EvaluationBudgetError when spent.
 
         phi is the true value at x when the caller already has it (a row of
-        a stacked evaluation, or the accepted trial the oracle measured
-        last); the problem is then not called.  The measurement is charged,
-        tracked and noised exactly as one that calls the problem.
+        a stacked evaluation, or the driver's iterate, measured before); the
+        problem is then not called.  The measurement is charged, tracked
+        and noised exactly as one that calls the problem.
         """
         if self.budget_evals is not None and self.n_f_evals >= self.budget_evals:
             raise EvaluationBudgetError(f"evaluation budget of {self.budget_evals} exhausted")
         self.n_f_evals += 1
-        self._last_x = x
         if phi is None:
             phi = self.problem.f(x)
         phi = self.last_phi = float(phi)

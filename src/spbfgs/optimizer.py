@@ -9,14 +9,14 @@ the baseline admission rule.  An exhausted line search keeps the iterate
 still counts.
 
 The true f is computed once per point.  After a step, the new iterate is
-the accepted trial point itself, which the oracle measured last: the
-driver takes that array from the oracle rather than forming x + alpha p
-again (the same bits), and the fresh measurement there (new noise, one
-more evaluation charged) reuses its true value instead of calling the
-problem again.  For a problem with a stacked f (Problem.stacked_f), the
-line search computes the true values of its trials in blocks as long as
-the previous search's trial count; see linesearch.backtrack.  Both leave
-every output bitwise as it is with one problem call per measurement.
+the accepted trial point that backtrack returns, not x + alpha p formed
+again (the same bits).  The driver keeps phi, the true value there (the
+oracle's last_phi after the measurement at x0 and after a step), and each
+fresh measurement at the iterate, like the row written when the budget
+runs out, reuses it.  For a problem with a stacked f (Problem.stacked_f),
+the line search computes the true values of its trials in blocks as long
+as the previous search's trial count; see linesearch.backtrack.  Both
+leave every output bitwise as it is with one problem call per measurement.
 
 H is updated in place, with scratch (two n x n arrays and the bool view
 the finiteness check writes) allocated once per run, so an iteration
@@ -180,11 +180,12 @@ def _run(problem, config, method, baseline):
     # line search treat non-finite values correctly, so don't warn.
     with np.errstate(all="ignore"):
         f_meas = oracle.f(x)  # within any budget: budget_evals is >= 1
+        phi = oracle.last_phi  # the true value at x
         g = oracle.grad(x)
         k = 0
         while True:
             if keep_records:
-                state = (k, f_meas, oracle.last_phi, grad_norm())
+                state = (k, f_meas, phi, grad_norm())
             # the step's values, None until it has them
             alpha = f_acc = n_trials = beta = sty = action = trace_h = pd_ok = None
             curvature_failed = False
@@ -195,13 +196,11 @@ def _run(problem, config, method, baseline):
                 p = -h.dot(g)
                 gdotp = float(g.dot(p))
                 try:
-                    alpha, f_acc, n_trials = backtrack(oracle.f, x, p, f_meas, gdotp,
-                                                       config.linesearch, true_f, block)
+                    alpha, x_new, f_acc, n_trials = backtrack(oracle.f, x, p, f_meas, gdotp,
+                                                              config.linesearch, true_f, block)
                 except EvaluationBudgetError:
                     break
                 block = n_trials
-                # the accepted trial x + alpha p, the point the oracle measured last
-                x_new = oracle._last_x if alpha > 0.0 else x
                 g_new = oracle.grad(x_new)
                 # Each new vector is checked once.  x and g are finite, so a pair
                 # s = x_new - x, y = g_new - g that CurvaturePair accepts (finite
@@ -251,15 +250,16 @@ def _run(problem, config, method, baseline):
                     rows.append(state + (oracle.n_f_evals, alpha, f_acc, n_trials, beta, sty,
                                          action, curvature_failed, trace_h, pd_ok))
             trace.n_iterations = k + 1
+            if alpha > 0.0:
+                phi = oracle.last_phi  # the accepted trial's, the oracle's last measurement
             x, g = x_new, g_new
             k += 1
             try:
-                # after a step x is the accepted trial, the oracle's last point
-                f_meas = oracle.f(x, oracle.last_phi) if alpha > 0.0 else oracle.f(x)
+                f_meas = oracle.f(x, phi)
             except EvaluationBudgetError:
                 if keep_records:
-                    # the budget ran out before the oracle evaluated x
-                    rows.append((k, math.nan, float(problem.f(x)), grad_norm(), oracle.n_f_evals,
+                    # the budget ran out before the oracle measured x
+                    rows.append((k, math.nan, phi, grad_norm(), oracle.n_f_evals,
                                  None, None, None, None, None, None, False, None, None))
                 break
     if failure is not None:

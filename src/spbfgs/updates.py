@@ -45,7 +45,8 @@ other order.  One check, _checked_h_copy, enforces this where H enters
 (the driver's h0, the copying public path), not on every result.
 
 A direct update of the Hessian approximation B = H^{-1} is provided for
-diagnostics; the driver itself only maintains H.
+diagnostics; the driver itself only maintains H.  _cholesky_factor is the
+one test of positive definiteness.
 """
 
 import math
@@ -62,7 +63,7 @@ from .errors import (
     SingularDenominatorError,
 )
 
-# float64 machine epsilon, 2**-52; see is_positive_definite
+# float64 machine epsilon, 2**-52; see _cholesky_factor
 _EPS = float(np.finfo(float).eps)
 
 
@@ -96,35 +97,35 @@ def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
     h += a
 
 
-def is_positive_definite(a):
-    """Cholesky-style test: success iff every pivot exceeds n * eps * max_i a_ii.
+def _cholesky_factor(a):
+    """The lower Cholesky factor L of a, or None: the one test of positive definiteness.
 
-    The largest diagonal entry must be positive and finite.  Rounding moves
-    a computed pivot by up to about n * eps times it, so a pivot within that
-    of zero is not told from zero; scaling by it judges a matrix of tiny or
-    huge entries as the same matrix scaled to order one.  Runs a plain
-    (unpivoted-order) Cholesky factorization and fails as soon as a
-    diagonal pivot is non-finite or at or below the tolerance.
+    a must be square (BadDimensionError).  It is positive definite when
+    max_i a_ii is positive and finite, np.linalg.cholesky factors it, and
+    every pivot L_kk^2 exceeds n * eps * max_i a_ii: rounding moves a pivot
+    by about n * eps of it, so one within that of zero is not told from
+    zero, at any scale of a.  Only the lower triangle is read.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
-        return True
+        return a
     scale = float(a.diagonal().max())
     if not (math.isfinite(scale) and scale > 0.0):
-        return False
-    tol = n * _EPS * scale
-    lower = np.zeros_like(a)
-    for k in range(n):
-        d = a[k, k] - lower[k, :k] @ lower[k, :k]
-        if not math.isfinite(d) or d <= tol:
-            return False
-        lower[k, k] = math.sqrt(d)
-        if k + 1 < n:
-            lower[k + 1:, k] = (a[k + 1:, k] - lower[k + 1:, :k] @ lower[k, :k]) / lower[k, k]
-    return True
+        return None
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = lower.diagonal()
+    return lower if (pivots * pivots > n * _EPS * scale).all() else None
+
+
+def is_positive_definite(a):
+    """True iff a's Cholesky pivots all exceed n * eps * max_i a_ii; see _cholesky_factor."""
+    return _cholesky_factor(a) is not None
 
 
 @dataclass(frozen=True)

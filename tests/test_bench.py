@@ -530,6 +530,20 @@ class TestRunExperiment:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_numpy_float_cells_write_the_python_float_bytes(self, tmp_path):
+        # a cell built with np.logspace once seeded its runs from
+        # repr(np.float64(1e-06)) and wrote that repr to both CSVs
+        written = []
+        for level in (float, np.float64):
+            out = tmp_path / level.__name__
+            run_experiment(ExperimentSpec(problems=(ProblemRef("cube"),), methods=("spbfgs",),
+                                          cells=((level(1e-6), level(1e-4)),), replicates=2,
+                                          budget_evals=100, record_traces=True,
+                                          out_dir=str(out)))
+            written.append([(out / name).read_bytes() for name in ("summary.csv", "traces.csv")])
+        assert written[1] == written[0]
+        assert b"cube,spbfgs,1e-06,0.0001," in written[0][0]
+
     def test_run_experiment_ignores_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPBFGS_BENCH_OUT_DIR", str(tmp_path / "env_out"))
         spec = small_spec(tmp_path, replicates=1, cells=(NoiseSpec(0.0, 0.0),))
@@ -652,6 +666,27 @@ class TestConfigFile:
         with pytest.raises(ConfigError) as err:
             load_experiment(tmp_path / "absent.ini")
         assert "cannot read" in str(err.value)
+
+
+def fenced_block_after(text, marker):
+    """The lines of the first ``` block after marker in text."""
+    rest = text[text.index(marker):]
+    start = rest.index("```")
+    start = rest.index("\n", start) + 1
+    return rest[start:rest.index("```", start)]
+
+
+class TestReadme:
+    def test_shown_output_is_what_the_code_prints(self, capsys):
+        # the README must describe what the code actually does
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library_use = readme[readme.index("## Library use"):]
+        code = fenced_block_after(library_use, "```python")
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+        assert capsys.readouterr().out == fenced_block_after(library_use, "\nprints\n")
+        assert cli_main(["list-problems"]) == 0
+        assert capsys.readouterr().out == fenced_block_after(
+            readme, "`spbfgs-bench list-problems` prints")
 
 
 class TestCli:

@@ -12,12 +12,14 @@ from spbfgs.diagnostics import (
     trace_bound_b,
     trace_bound_h,
 )
-from spbfgs.errors import CurvatureViolationError, DegenerateInputError, MissingMetadataError
+from spbfgs.errors import (BadDimensionError, CurvatureViolationError, DegenerateInputError,
+                           MissingMetadataError)
 from spbfgs.problems import Problem, get_problem
 from spbfgs.updates import (
     CurvaturePair,
     PenaltyScalars,
     compute_penalty_scalars,
+    is_positive_definite,
     spbfgs_inverse_update,
     spbfgs_update,
 )
@@ -194,3 +196,15 @@ class TestScaledConditionNumber:
     def test_rejects_indefinite_hessian(self):
         with pytest.raises(DegenerateInputError):
             scaled_condition_number(np.eye(2), np.diag([1.0, -1.0]))
+
+    def test_rejects_h_that_is_not_positive_definite_to_the_update_module(self):
+        # a pivot of 1e-17 is below 2 eps, what float64 resolves next to 1
+        h = np.diag([1.0, 1e-17])
+        assert not is_positive_definite(h)
+        with pytest.raises(DegenerateInputError):
+            scaled_condition_number(h, np.eye(2))
+
+    def test_non_square_h_is_a_dimension_error(self):
+        for check in (is_positive_definite, lambda h: scaled_condition_number(h, np.eye(2))):
+            with pytest.raises(BadDimensionError):
+                check(np.ones((2, 3)))

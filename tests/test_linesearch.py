@@ -36,8 +36,9 @@ class TestBacktrack:
         f = lambda z: float(z @ z)
         x = np.array([2.0, 0.0])
         p = np.array([-2.0, 0.0])
-        alpha, f_new, trials = backtrack(f, x, p, f(x), float(2 * x @ p), cfg)
+        alpha, x_new, f_new, trials = backtrack(f, x, p, f(x), float(2 * x @ p), cfg)
         assert alpha == 1.0
+        assert x_new.tolist() == [0.0, 0.0]
         assert f_new == 0.0
         assert trials == 1
 
@@ -47,8 +48,9 @@ class TestBacktrack:
         x = np.array([1.0])
         p = np.array([-4.0])  # overshoots; alpha = 1, 0.5 fail, 0.25 lands at 0
         gdotp = float(2 * x @ p)
-        alpha, f_new, trials = backtrack(f, x, p, f(x), gdotp, cfg)
+        alpha, x_new, f_new, trials = backtrack(f, x, p, f(x), gdotp, cfg)
         assert alpha == 0.25
+        assert x_new.tolist() == [0.0]
         assert trials == 3
         assert f_new == 0.0
 
@@ -57,8 +59,9 @@ class TestBacktrack:
         f = lambda z: float(z @ z)
         x = np.array([1.0])
         p = np.array([1.0])  # ascent direction with a lying slope
-        alpha, f_new, trials = backtrack(f, x, p, f(x), -1.0, cfg)
+        alpha, x_new, f_new, trials = backtrack(f, x, p, f(x), -1.0, cfg)
         assert alpha == 0.0
+        assert x_new is x
         assert f_new == f(x)
         assert trials == 5
 
@@ -70,7 +73,7 @@ class TestBacktrack:
             calls.append(z.copy())
             return math.inf
 
-        alpha, _, trials = backtrack(f, np.zeros(1), np.ones(1), 0.0, -1.0, cfg)
+        alpha, _, _, trials = backtrack(f, np.zeros(1), np.ones(1), 0.0, -1.0, cfg)
         assert alpha == 0.0
         assert trials == 7
         assert len(calls) == 7
@@ -84,8 +87,9 @@ class TestBacktrack:
 
         x = np.array([0.0])
         p = np.array([1.0])
-        alpha, f_new, trials = backtrack(f, x, p, f(x), -1.2, cfg)
+        alpha, x_new, f_new, trials = backtrack(f, x, p, f(x), -1.2, cfg)
         assert alpha == 0.5
+        assert x_new.tolist() == [0.5]
         assert f_new == pytest.approx(0.01)
         assert trials == 2
 
@@ -93,7 +97,7 @@ class TestBacktrack:
         # a flat function is acceptable only thanks to the 2 eps slack
         cfg = LineSearchConfig(eps_armijo=0.5)
         f = lambda z: 1.0
-        alpha, f_new, trials = backtrack(f, np.zeros(1), np.ones(1), 1.0, -0.001, cfg)
+        alpha, _, f_new, trials = backtrack(f, np.zeros(1), np.ones(1), 1.0, -0.001, cfg)
         assert alpha == 1.0
         assert trials == 1
 
@@ -107,15 +111,17 @@ class TestStackedBacktrack:
     """The block path consumes the same trials, in order, as the plain loop."""
 
     def search(self, block, direction_scale, budget=None, cfg=LineSearchConfig(eps_armijo=1e-4)):
-        """(backtrack's result, or "budget spent", and the oracle's state afterwards)."""
+        """(backtrack's result, its point as bytes, or "budget spent"; the oracle's state after)."""
         problem = get_problem("srosenbr", 8)
         oracle = NoisyOracle(problem, NoiseSpec(1e-4, 0.0), seed=3, budget_evals=budget)
         x = problem.x0
         p = -direction_scale * problem.grad(x)
         f_ref = oracle.f(x)
         try:
-            result = backtrack(oracle.f, x, p, f_ref, float(problem.grad(x) @ p), cfg,
-                               problem.f, block)
+            alpha, x_new, f_new, trials = backtrack(oracle.f, x, p, f_ref,
+                                                    float(problem.grad(x) @ p), cfg, problem.f,
+                                                    block)
+            result = (alpha, x_new.tobytes(), f_new, trials)
         except EvaluationBudgetError:
             result = "budget spent"
         return result, oracle_state(oracle)
@@ -132,13 +138,14 @@ class TestStackedBacktrack:
         # an ascent direction fails all 10 trials; 3 is a block that 10 does not divide
         cfg = LineSearchConfig(eps_armijo=1e-4, max_backtracks=10)
         plain = self.search(1, -1.0, cfg=cfg)
-        assert plain[0] == (0.0, plain[0][1], 10)
+        x0 = get_problem("srosenbr", 8).x0.tobytes()
+        assert plain[0] == (0.0, x0, plain[0][2], 10)
         assert self.search(block, -1.0, cfg=cfg) == plain
 
     @pytest.mark.parametrize("block", [2, 4, 5, 7])
     def test_budget_error_mid_block_charges_consumed_trials(self, block):
         # 1 measurement at x, then 5 of the search's trials fit in the budget
-        assert self.search(1, 1e3)[0][2] > 5
+        assert self.search(1, 1e3)[0][3] > 5
         plain = self.search(1, 1e3, budget=6)
         assert plain[0] == "budget spent" and plain[1][0] == 6
         assert self.search(block, 1e3, budget=6) == plain
@@ -155,8 +162,9 @@ class TestStackedBacktrack:
             return phi
 
         x, p = np.zeros(3), np.ones(3)
-        alpha, f_new, trials = backtrack(eval_f, x, p, 1.0, -1.0, LineSearchConfig(), true_f, 4)
-        assert (alpha, f_new, trials) == (1.0, 0.5, 1)
+        alpha, x_new, f_new, trials = backtrack(eval_f, x, p, 1.0, -1.0, LineSearchConfig(),
+                                                true_f, 4)
+        assert (alpha, x_new.tolist(), f_new, trials) == (1.0, [1.0] * 3, 0.5, 1)
         assert stacked_calls == [(4, 3)]
         assert measured == [0.5]
 
@@ -166,8 +174,10 @@ class TestStackedBacktrack:
 
         f = lambda z: float(z @ z)
         x, p = np.array([1.0]), np.array([-4.0])
-        assert backtrack(f, x, p, 1.0, -8.0, LineSearchConfig(), true_f, 1) == (0.25, 0.0, 3)
-        assert backtrack(f, x, p, 1.0, -8.0, LineSearchConfig(), None, 5) == (0.25, 0.0, 3)
+        for result in (backtrack(f, x, p, 1.0, -8.0, LineSearchConfig(), true_f, 1),
+                       backtrack(f, x, p, 1.0, -8.0, LineSearchConfig(), None, 5)):
+            alpha, x_new, f_new, trials = result
+            assert (alpha, x_new.tolist(), f_new, trials) == (0.25, [0.0], 0.0, 3)
 
     def test_trial_points_bitwise_those_of_the_plain_loop(self):
         seen = {1: [], 6: []}

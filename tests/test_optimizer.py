@@ -263,31 +263,40 @@ class TestStepAccounting:
 
     @pytest.mark.parametrize("rep", range(5))
     def test_pd_ok_agrees_with_the_eigenvalues(self, monkeypatch, rep):
-        # classic BFGS in c08's cell drives H to eigenvalues ~1e-16..1e-10,
-        # all positive: a pivot tolerance blind to H's scale read most of
-        # these H as not positive definite
-        smallest = []
+        # the sweep's own H, in c08's cell, both methods: classic BFGS on beale
+        # drives H to eigenvalues ~1e-16..1e-10, all positive, and a pivot
+        # tolerance blind to H's scale read most of these H as not positive
+        # definite
+        eigs = []  # the eigenvalues of each H the driver checks
         check = optimizer.is_positive_definite
 
         def spy(h):
-            smallest.append(np.linalg.eigvalsh(h)[0])
+            eigs.append(np.linalg.eigvalsh(h))
             return check(h)
 
         monkeypatch.setattr(optimizer, "is_positive_definite", spy)
-        prob, cell = get_problem("beale"), NoiseSpec(1e-4, 1e-4)
-        # run_one's config for this run, with the diagnostics on
-        spec = ExperimentSpec(problems=(ProblemRef("beale"),), cells=(cell,),
+        names, cell = ("beale", "rosenbrock", "quadratic_ill"), NoiseSpec(1e-4, 1e-4)
+        # run_one's config for each run, with the diagnostics on
+        spec = ExperimentSpec(problems=tuple(map(ProblemRef, names)), cells=(cell,),
                               noise_mode="relative")
-        config = RunConfig(policy=spec.policy, linesearch=spec.linesearch,
-                           noise=resolve_cell(prob, cell, spec.noise_mode),
-                           budget_evals=spec.budget_evals,
-                           seed=run_seed(spec.master_seed, prob.name, "bfgs", cell, rep),
-                           record_hessian_diagnostics=True)
-        trace = minimize_baseline_bfgs(prob, config)
-        pd_ok = [r["pd_ok"] for r in record_dicts(trace) if r["pd_ok"] is not None]
-        assert len(pd_ok) == len(smallest) == trace.n_iterations > 900
-        assert pd_ok == [bool(e > 0.0) for e in smallest]
-        assert sum(e < 1e-12 for e in smallest) > 400
+        for name in names:
+            prob = get_problem(name)
+            for method, run in (("spbfgs", minimize), ("bfgs", minimize_baseline_bfgs)):
+                eigs.clear()
+                config = RunConfig(policy=spec.policy, linesearch=spec.linesearch,
+                                   noise=resolve_cell(prob, cell, spec.noise_mode),
+                                   budget_evals=spec.budget_evals,
+                                   seed=run_seed(spec.master_seed, name, method, cell, rep),
+                                   record_hessian_diagnostics=True)
+                trace = run(prob, config)
+                pd_ok = [r["pd_ok"] for r in record_dicts(trace) if r["pd_ok"] is not None]
+                assert len(pd_ok) == len(eigs) == trace.n_iterations > 900
+                assert pd_ok == [bool(e[0] > 0.0) for e in eigs]
+                # every H is determinate: rounding cannot decide the agreement
+                assert all(abs(e[0]) > prob.n * np.finfo(float).eps * np.abs(e).max()
+                           for e in eigs)
+                if (name, method) == ("beale", "bfgs"):
+                    assert sum(e[0] < 1e-12 for e in eigs) > 400
 
 
 def counting(problem):
@@ -305,17 +314,16 @@ def counting(problem):
     return dataclasses.replace(problem, f=f, grad=grad), calls
 
 
-def reused_values(trace):
-    """Measurements that took the accepted trial's true value from the oracle.
+def remeasured(trace):
+    """Measurements at an iterate after x0, each of which reuses the driver's true value.
 
-    Iterate k + 1 is measured at the accepted trial of iteration k when that
-    iteration stepped (alpha > 0), and the measurement passes the oracle's
-    last true value instead of calling the problem; a final iterate the
-    spent budget left unmeasured (f_measured NaN) reused nothing.
+    The driver keeps the true value at its iterate (from the measurement at
+    x0, then from each accepted trial), so every later iterate's measurement
+    passes it instead of calling the problem, after a step or an exhausted
+    search alike; a final iterate the spent budget left unmeasured
+    (f_measured NaN) was not measured.
     """
-    recs = record_dicts(trace)
-    return sum(prev["alpha"] is not None and prev["alpha"] > 0.0
-               and not math.isnan(cur["f_measured"]) for prev, cur in zip(recs, recs[1:]))
+    return sum(not math.isnan(rec["f_measured"]) for rec in record_dicts(trace)[1:])
 
 
 RESULT_FIELDS = ("phi_best", "n_iterations", "n_f_evals", "n_g_evals",
@@ -327,17 +335,17 @@ class TestRecordsOff:
     @pytest.mark.parametrize("noise", [NoiseSpec(0.0, 0.0), NoiseSpec(1e-6, 1e-4),
                                        NoiseSpec(0.0, 1e-1)])
     def test_no_side_channel_calls(self, name, noise):
-        # without records the problem is evaluated only through the oracle,
-        # once per measurement that does not reuse the accepted trial's value
+        # without records the problem is evaluated only through the oracle:
+        # once at x0 and once per line-search trial, never at an iterate again
         for run in (minimize, minimize_baseline_bfgs):
             prob, calls = counting(get_problem(name))
             cfg = RunConfig(noise=noise, budget_evals=300, seed=4, record_iterations=False)
             trace = run(prob, cfg)
             assert len(trace.records) == 0 and trace.records.dtype == RECORD_DTYPE
-            # the same run with records, to count its post-step measurements
+            # the same run with records, to count its measurements at iterates
             twin = run(get_problem(name), dataclasses.replace(cfg, record_iterations=True))
             assert (twin.n_f_evals, twin.n_iterations) == (trace.n_f_evals, trace.n_iterations)
-            reused = reused_values(twin)
+            reused = remeasured(twin)
             assert reused > 0
             assert calls == {"f": trace.n_f_evals - reused, "grad": trace.n_g_evals}
 
@@ -360,8 +368,9 @@ class TestRecordsOff:
                 assert np.array_equal(on.x_best, off.x_best)
 
     def test_records_reuse_the_oracle_values(self):
-        # phi and grad_norm of each record are the true values at its x; only
-        # a final record whose x the spent budget left unmeasured costs a call
+        # phi and grad_norm of each record are the true values at its x, and
+        # no record costs a problem call, not even a final one whose x the
+        # spent budget left unmeasured
         unmeasured_ends = 0
         for budget in range(100, 110):
             prob, calls = counting(get_problem("rosenbrock"))
@@ -370,8 +379,8 @@ class TestRecordsOff:
             recs = record_dicts(trace)
             unmeasured = math.isnan(recs[-1]["f_measured"])
             unmeasured_ends += unmeasured
-            reused = reused_values(trace)
-            assert calls == {"f": trace.n_f_evals + unmeasured - reused, "grad": trace.n_g_evals}
+            reused = remeasured(trace)
+            assert calls == {"f": trace.n_f_evals - reused, "grad": trace.n_g_evals}
             assert len(xs) == len(recs)
             for rec, x in zip(recs, xs):
                 assert rec["phi"] == prob.f(x)

@@ -536,3 +536,9 @@ class TestMatrixHelpers:
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         assert not is_positive_definite(a)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_pd_check_nonfinite_off_diagonal(self, bad):
+        a = np.eye(3)
+        a[2, 0] = a[0, 2] = bad
+        assert not is_positive_definite(a)
+
