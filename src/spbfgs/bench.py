@@ -263,30 +263,17 @@ def _run_job(args):
     return run_one(spec, problem_ref, method, cell, rep)
 
 
-def _format(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_summary_csv(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
         for row in rows:
             st = row.stats
-            writer.writerow([
-                row.problem, row.method, _format(row.cell.eps_f), _format(row.cell.eps_g),
-                st.n, _format(st.mean), _format(st.median), _format(st.vmin),
-                _format(st.vmax), _format(st.var), _format(st.mean_iters),
-            ])
+            writer.writerow([row.problem, row.method, row.cell.eps_f, row.cell.eps_g, st.n,
+                             st.mean, st.median, st.vmin, st.vmax, st.var, st.mean_iters])
 
 
-# How a value of each dtype kind is written: as _format writes its Python value
+# How a value of each dtype kind is written: as csv.writer writes its Python value, bools as 1/0
 _TEXT = {"i": str, "f": repr, "b": lambda v: "1" if v else "0"}
 
 
@@ -315,7 +302,7 @@ def write_traces_csv(path, outcomes):
             run_values = (outcome.problem, outcome.method, outcome.cell.eps_f,
                           outcome.cell.eps_g, outcome.rep)  # TRACE_RUN_COLUMNS
             lead = io.StringIO()
-            csv.writer(lead, lineterminator=",").writerow([_format(v) for v in run_values])
+            csv.writer(lead, lineterminator=",").writerow(run_values)
             lead = lead.getvalue()
             fh.writelines(lead + ",".join(fields) + "\n" for fields in zip(*_text_columns(rows)))
 

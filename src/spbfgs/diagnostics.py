@@ -8,10 +8,10 @@ number of H against the true Hessian.
 A fixed-step run is gradient descent with H = I, run through
 optimizer.minimize: PenaltyPolicy(kind="constant", beta=0.0) keeps H = I,
 LineSearchConfig(alpha0=alpha, max_backtracks=1, eps_armijo=math.inf)
-accepts its one trial always, budget_iters counts the steps, and the
-records' phi are the true values.  At eps_f = 0 the f measurements draw
-nothing, so the iterates are bitwise x <- x - alpha (grad(x) +
-sample_ball(rng, n, eps_g)) with rng = np.random.default_rng(seed); at
+accepts its one trial whenever its value is finite, budget_iters counts
+the steps, and the records' phi are the true values.  At eps_f = 0 the f
+measurements draw nothing, so the iterates are bitwise x <- x - alpha
+(grad(x) + sample_ball(rng, n, eps_g)) with rng = np.random.default_rng(seed); at
 eps_f > 0 the f draws interleave with the gradient draws and they differ.
 """
 
@@ -19,7 +19,12 @@ import math
 
 import numpy as np
 
-from .errors import CurvatureViolationError, DegenerateInputError, MissingMetadataError
+from .errors import (
+    BadDimensionError,
+    CurvatureViolationError,
+    DegenerateInputError,
+    MissingMetadataError,
+)
 from .updates import _cholesky_factor
 
 # qlinear_envelope_holds allows each step this relative slack on the gap
@@ -108,12 +113,17 @@ def scaled_condition_number(h, hess_matrix):
     Both H and the Hessian must be positive definite; measures how well H
     preconditions the problem (1 would be a perfect inverse Hessian up to
     scale).  L is updates._cholesky_factor's, so DegenerateInputError is
-    raised for H exactly when is_positive_definite(H) is False.
+    raised for H exactly when is_positive_definite(H) is False.  H must be
+    square and the Hessian of H's shape (BadDimensionError).
     """
     lower = _cholesky_factor(h)
     if lower is None:
         raise DegenerateInputError("H must be positive definite")
-    vals = np.linalg.eigvalsh(lower.T @ np.asarray(hess_matrix, dtype=float) @ lower)
+    hess_matrix = np.asarray(hess_matrix, dtype=float)
+    if hess_matrix.shape != lower.shape:
+        raise BadDimensionError(f"expected a {lower.shape} Hessian, got shape "
+                                f"{hess_matrix.shape}")
+    vals = np.linalg.eigvalsh(lower.T @ hess_matrix @ lower)
     if vals[0] <= 0.0:
         raise DegenerateInputError(f"Hessian is not positive definite (min scaled eig {vals[0]})")
     return float(vals[-1] / vals[0])

@@ -8,7 +8,9 @@ allowance eps_armijo:
 
 max_backtracks counts trials: alpha runs over alpha0 * tau^j for
 j = 0 .. max_backtracks-1 and exhaustion returns alpha = 0 (the iteration
-still counts, no step is taken).
+still counts, no step is taken).  A schedule that underflows to 0.0 ends
+the search there: a trial at alpha = 0 would re-measure x itself.  A
+non-finite trial value never passes.
 
 For a problem whose f evaluates stacked points, the true values of the
 next `block` trial points can be computed in one call and then measured
@@ -26,6 +28,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LineSearchConfig:
+    """Backtracking schedule alpha0 * tau^j, at most max_backtracks trials.
+
+    The trials stop early where alpha0 * tau^j underflows to 0.0; see backtrack.
+    """
+
     alpha0: float = 1.0
     tau: float = 0.5
     c1: float = 1e-4
@@ -47,7 +54,9 @@ class LineSearchConfig:
 
 def armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
     """Relaxed sufficient-decrease test; False for non-finite trial values."""
-    return f_trial <= f_ref + cfg.c1 * alpha * gdotp + 2.0 * cfg.eps_armijo
+    # finiteness first: -inf passes the comparison, and so does +inf at eps_armijo = inf
+    return math.isfinite(f_trial) and f_trial <= f_ref + cfg.c1 * alpha * gdotp \
+        + 2.0 * cfg.eps_armijo
 
 
 def backtrack(eval_f, x, p, f_ref, gdotp, cfg, true_f=None, block=1):
@@ -55,7 +64,9 @@ def backtrack(eval_f, x, p, f_ref, gdotp, cfg, true_f=None, block=1):
 
     eval_f is charged once per trial (budget accounting happens inside the
     oracle it wraps).  Returns (alpha, x_new, f_new, n_trials), x_new the
-    accepted trial array; exhaustion gives (0.0, x, f_ref, max_backtracks).
+    accepted trial array; exhaustion gives (0.0, x, f_ref, n_trials).  n_trials
+    is max_backtracks unless alpha *= tau underflows to 0.0 first: the search
+    then ends after the trials it has made, forming none at alpha = 0.
 
     With true_f (a problem's stacked f) and block > 1, the trial points are
     formed block at a time as one (block, n) array, true_f gives their true
@@ -71,13 +82,17 @@ def backtrack(eval_f, x, p, f_ref, gdotp, cfg, true_f=None, block=1):
             if armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
                 return alpha, x_trial, f_trial, trial
             alpha *= cfg.tau
-        return 0.0, x, f_ref, cfg.max_backtracks
+            if alpha == 0.0:
+                break
+        return 0.0, x, f_ref, trial
     trial = 0
-    while trial < cfg.max_backtracks:
+    while trial < cfg.max_backtracks and alpha > 0.0:
         alphas = []
         for _ in range(min(block, cfg.max_backtracks - trial)):
             alphas.append(alpha)
             alpha *= cfg.tau
+            if alpha == 0.0:
+                break
         points = x + np.array(alphas)[:, None] * p
         phis = true_f(points)
         for alpha_j, x_j, phi_j in zip(alphas, points, phis):
@@ -85,4 +100,4 @@ def backtrack(eval_f, x, p, f_ref, gdotp, cfg, true_f=None, block=1):
             f_trial = eval_f(x_j, phi_j)
             if armijo_ok(f_trial, f_ref, alpha_j, gdotp, cfg):
                 return alpha_j, x_j, f_trial, trial
-    return 0.0, x, f_ref, cfg.max_backtracks
+    return 0.0, x, f_ref, trial

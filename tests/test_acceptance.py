@@ -178,7 +178,8 @@ def test_c08_relative_noise_sweep(tmp_path):
 
 def test_c09_fixed_step_envelope():
     # gradient descent through minimize: beta = 0 keeps H = I, and the one
-    # trial at alpha is always accepted (diagnostics' module docstring)
+    # trial at alpha is accepted whenever its value is finite (diagnostics'
+    # module docstring)
     prob = get_problem("quadratic_ill")
     threshold = noise_region_threshold(prob, 1.0, 1.0, 1.0)
     alpha = 1e-4  # psi / (big_psi^2 M) for psi = big_psi = 1, M = 1e4

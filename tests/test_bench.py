@@ -198,6 +198,16 @@ class TestSummaryCsv:
         )
         assert path.read_text() == expected
 
+    def test_numpy_scalars_write_their_values(self, tmp_path):
+        # numpy 2's repr of np.float64(0.1) is "np.float64(0.1)"; csv.writer writes 0.1
+        stats = SummaryStats(np.int64(5), np.float64(0.1), np.float64(-2.5), np.float64(-3.0),
+                             np.float64(1e-300), np.float64(0.25), np.float64(12.0))
+        path = tmp_path / "summary.csv"
+        write_summary_csv(path, [SummaryRow("rosenbrock", "spbfgs", NoiseSpec(1e-4, 1e-4),
+                                            stats)])
+        assert path.read_text().splitlines()[1] == \
+            "rosenbrock,spbfgs,0.0001,0.0001,5,0.1,-2.5,-3.0,1e-300,0.25,12.0"
+
     def test_nan_spelled_out(self, tmp_path):
         rows = [SummaryRow("cube", "spbfgs", NoiseSpec(),
                            SummaryStats(1, math.nan, -1.0, -1.0, -1.0, None, 5.0))]
@@ -322,12 +332,12 @@ def _tuple_rows(run_values, records):
 
 
 def _write_tuple_rows(path, rows):
-    """traces.csv as written from tuple rows by csv.writer and _format: the reference writer."""
+    """traces.csv as written from tuple rows by plain csv.writer, bools as ints: the reference."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for row in rows:
-            writer.writerow([spbfgs.bench._format(v) for v in row])
+            writer.writerow([int(v) if isinstance(v, bool) else v for v in row])
 
 
 def _field_values(rows, column):

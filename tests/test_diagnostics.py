@@ -208,3 +208,7 @@ class TestScaledConditionNumber:
         for check in (is_positive_definite, lambda h: scaled_condition_number(h, np.eye(2))):
             with pytest.raises(BadDimensionError):
                 check(np.ones((2, 3)))
+        # the Hessian must be n x n for H's n
+        for hess in (np.eye(3), np.ones(2)):
+            with pytest.raises(BadDimensionError):
+                scaled_condition_number(np.eye(2), hess)

@@ -24,10 +24,11 @@ class TestArmijo:
         assert armijo_ok(10.0, 10.0, 1.0, -1.0, cfg)
         assert not armijo_ok(10.01, 10.0, 1.0, -1.0, cfg)
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
     def test_nonfinite_trial_rejected(self, bad):
-        cfg = LineSearchConfig()
-        assert not armijo_ok(bad, 10.0, 1.0, -1.0, cfg)
+        # eps_armijo = inf is the fixed-step setting, whose threshold is +inf
+        for cfg in (LineSearchConfig(), LineSearchConfig(eps_armijo=math.inf)):
+            assert not armijo_ok(bad, 10.0, 1.0, -1.0, cfg)
 
 
 class TestBacktrack:
@@ -77,6 +78,21 @@ class TestBacktrack:
         assert alpha == 0.0
         assert trials == 7
         assert len(calls) == 7
+
+    def test_underflowing_schedule_ends_the_search(self):
+        # alpha0 * tau underflows to 0.0, so a second trial would measure x itself
+        cfg = LineSearchConfig(alpha0=1e-322, tau=0.01, c1=0.5)
+        x, p = np.array([1.0]), np.array([-1.0])
+        for true_f, block in ((None, 1), (lambda pts: np.full(len(pts), 2.0), 5)):
+            measured = []
+
+            def eval_f(z, phi=None):
+                measured.append(z.tolist())
+                return 2.0  # rejected: above f_ref
+
+            alpha, x_new, f_new, trials = backtrack(eval_f, x, p, 1.0, -1.0, cfg, true_f, block)
+            assert (alpha, f_new, trials) == (0.0, 1.0, 1) and x_new is x
+            assert measured == [[1.0]]
 
     def test_nonfinite_trials_skipped_over(self):
         # f overflows at the full step but is fine at half of it
@@ -135,12 +151,14 @@ class TestStackedBacktrack:
 
     @pytest.mark.parametrize("block", [2, 3, 4, 10, 11])
     def test_same_exhaustion_as_one_at_a_time(self, block):
-        # an ascent direction fails all 10 trials; 3 is a block that 10 does not divide
-        cfg = LineSearchConfig(eps_armijo=1e-4, max_backtracks=10)
-        plain = self.search(1, -1.0, cfg=cfg)
+        # an ascent direction fails all 10 trials; 3 is a block that 10 does not divide.
+        # alpha0 * tau underflows to 0.0 after one trial, which noise alone rejects here.
         x0 = get_problem("srosenbr", 8).x0.tobytes()
-        assert plain[0] == (0.0, x0, plain[0][2], 10)
-        assert self.search(block, -1.0, cfg=cfg) == plain
+        for cfg, trials in ((LineSearchConfig(eps_armijo=1e-4, max_backtracks=10), 10),
+                            (LineSearchConfig(alpha0=1e-322, tau=0.01, c1=0.5), 1)):
+            plain = self.search(1, -1.0, cfg=cfg)
+            assert plain[0] == (0.0, x0, plain[0][2], trials) and plain[1][0] == 1 + trials
+            assert self.search(block, -1.0, cfg=cfg) == plain
 
     @pytest.mark.parametrize("block", [2, 4, 5, 7])
     def test_budget_error_mid_block_charges_consumed_trials(self, block):

@@ -5,17 +5,29 @@ have entries in [-1, 1], norms of at least 0.1 and an angle whose cosine is
 at least 0.1 in magnitude, so s.y is never a rounding error away from 0.
 beta ranges over 10^-300 .. 10^300, and near the boundary s.y = -1/beta
 over relative distances 10^-10 .. 0.5 from it.
+
+TestReplayedPairs checks the same guarantees on the (H, pair, beta) of every
+update of a few seeded sweep runs, where H's eigenvalues reach 1e-13 and
+s.y reaches rounding level.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spbfgs import optimizer
+from spbfgs.bench import ExperimentSpec, ProblemRef, resolve_cell, run_seed
 from spbfgs.diagnostics import trace_bound_h
 from spbfgs.errors import SpbfgsError
+from spbfgs.linesearch import LineSearchConfig
+from spbfgs.noise import NoiseSpec
+from spbfgs.optimizer import RunConfig, minimize, minimize_baseline_bfgs
+from spbfgs.policy import PenaltyPolicy
+from spbfgs.problems import get_problem
 from spbfgs.updates import (
     CurvaturePair,
     bfgs_update,
@@ -133,3 +145,76 @@ def test_trace_bound_on_h(problem, e):
     # at tiny beta the update is below an ulp and the bound is met with
     # equality, so allow for rounding
     assert np.trace(out) <= trace_bound_h(h, pair, scalars) * (1.0 + 1e-12)
+
+
+def sweep_configs():
+    """(problem, method, RunConfig): c08's cell for rosenbrock and beale, and c06; 2 reps each."""
+    cell = NoiseSpec(1e-4, 1e-4)
+    spec = ExperimentSpec(problems=(ProblemRef("beale"),), cells=(cell,), noise_mode="relative")
+    c06_cell = NoiseSpec(0.0, 1.0)
+    c06_linesearch = LineSearchConfig(eps_armijo=0.0, max_backtracks=75)
+    c06_policies = {"spbfgs": PenaltyPolicy(kind="linear", step_scale=1.0, offset=1e-10),
+                    "bfgs": PenaltyPolicy(kind="constant-infinity", skip_rule="nonpositive")}
+    for rep in range(2):
+        for method in ("spbfgs", "bfgs"):
+            for name in ("rosenbrock", "beale"):
+                prob = get_problem(name)
+                yield prob, method, RunConfig(
+                    policy=spec.policy, linesearch=spec.linesearch,
+                    noise=resolve_cell(prob, cell, spec.noise_mode),
+                    budget_evals=spec.budget_evals,
+                    seed=run_seed(spec.master_seed, name, method, cell, rep))
+            prob = get_problem("quadratic_ill")
+            yield prob, method, RunConfig(
+                policy=c06_policies[method], linesearch=c06_linesearch, noise=c06_cell,
+                budget_iters=100, seed=run_seed(0, prob.name, method, c06_cell, rep))
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    """(H, pair, scalars, H+) of each update in sweep_configs' runs from a positive definite H."""
+    captured = []
+    kernel = optimizer.spbfgs_update
+
+    def spy(h, pair, scalars, scratch=None):
+        before = h.copy()
+        kernel(h, pair, scalars, scratch)
+        captured.append((before, pair, scalars, h.copy()))
+        return h
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "spbfgs_update", spy)
+        for prob, method, config in sweep_configs():
+            (minimize if method == "spbfgs" else minimize_baseline_bfgs)(prob, config)
+    return [c for c in captured if is_positive_definite(c[0])]
+
+
+def below_resolution(h, pair):
+    """s.y <= n eps max_i H_ii |y|^2.
+
+    By the secant equation y.H+y = s.y, H+'s least eigenvalue is then at or
+    below the pivot tolerance is_positive_definite applies at H's scale.
+    """
+    return pair.sty <= pair.n * np.finfo(float).eps * float(h.diagonal().max()) * \
+        float(pair.y @ pair.y)
+
+
+class TestReplayedPairs:
+    def test_positive_definite_iff_relaxed_curvature(self, replayed):
+        penalized_below = 0
+        for h, pair, scalars, out in replayed:
+            assert spbfgs_curvature_ok(pair, scalars.beta)
+            if math.isinf(scalars.beta) and below_resolution(h, pair):
+                continue  # classic BFGS at a rounding-level s.y: float64 cannot decide
+            penalized_below += below_resolution(h, pair)
+            assert is_positive_definite(out)
+            if pair.sty < 0.0:
+                # beta' = -4/s.y puts s.y = -4/beta' below -1/beta'
+                outside = spbfgs_update(h, pair, compute_penalty_scalars(pair, -4.0 / pair.sty))
+                assert not is_positive_definite(outside)
+        # the exemption is classic-only: penalized updates in the same regime are checked
+        assert len(replayed) > 6000 and penalized_below > 0
+
+    def test_trace_bound_on_h(self, replayed):
+        for h, pair, scalars, out in replayed:
+            assert np.trace(out) <= trace_bound_h(h, pair, scalars) * (1.0 + 1e-12)
