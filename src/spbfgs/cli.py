@@ -25,11 +25,11 @@ from .verify import run_all
 
 # flag -> the [section] key it sets, and its argparse options
 FLAGS = {
-    "--seed": ("experiment", "master_seed", {"type": int}),
+    "--seed": ("experiment", "master_seed", {}),
     "--out-dir": ("experiment", "out_dir", {}),
-    "--replicates": ("experiment", "replicates", {"type": int}),
-    "--budget-evals": ("budget", "evals", {"type": int}),
-    "--budget-iters": ("budget", "iters", {"type": int}),
+    "--replicates": ("experiment", "replicates", {}),
+    "--budget-evals": ("budget", "evals", {}),
+    "--budget-iters": ("budget", "iters", {}),
     "--trace": ("experiment", "record_traces", {"action": "store_const", "const": "true"}),
 }
 # environment variable -> the [section] key it sets

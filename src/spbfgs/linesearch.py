@@ -6,11 +6,9 @@ allowance eps_armijo:
 
     f(x + alpha p) <= f(x) + c1 alpha g.p + 2 eps_armijo.
 
-max_backtracks counts trials: alpha runs over alpha0 * tau^j for
-j = 0 .. max_backtracks-1 and exhaustion returns alpha = 0 (the iteration
-still counts, no step is taken).  A schedule that underflows to 0.0 ends
-the search there: a trial at alpha = 0 would re-measure x itself.  A
-non-finite trial value never passes.
+The trial steps are those of LineSearchConfig.steps, the one definition of
+the schedule; a search that exhausts them returns alpha = 0 (the iteration
+still counts, no step is taken).  A non-finite trial value never passes.
 
 For a problem whose f evaluates stacked points, the true values of the
 next `block` trial points can be computed in one call and then measured
@@ -21,6 +19,7 @@ past the accepted one cost one stacked evaluation and nothing else.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -28,9 +27,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LineSearchConfig:
-    """Backtracking schedule alpha0 * tau^j, at most max_backtracks trials.
+    """Settings of one backtracking search, and its step schedule.
 
-    The trials stop early where alpha0 * tau^j underflows to 0.0; see backtrack.
+    The schedule, steps(), is alpha0 followed by each previous step times
+    tau (alpha0 * tau^j by repeated multiplication), at most max_backtracks
+    steps.  It ends before the first step that underflows to 0.0, since a
+    trial at alpha = 0 would re-measure x itself.
     """
 
     alpha0: float = 1.0
@@ -51,6 +53,15 @@ class LineSearchConfig:
         if self.max_backtracks < 1:
             raise ValueError(f"max_backtracks must be >= 1, got {self.max_backtracks}")
 
+    def steps(self):
+        """Yield the schedule's steps one at a time, as a search consumes them."""
+        alpha = self.alpha0
+        for _ in range(self.max_backtracks):
+            yield alpha
+            alpha *= self.tau
+            if alpha == 0.0:
+                return
+
 
 def armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
     """Relaxed sufficient-decrease test; False for non-finite trial values."""
@@ -60,44 +71,33 @@ def armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
 
 
 def backtrack(eval_f, x, p, f_ref, gdotp, cfg, true_f=None, block=1):
-    """Geometric backtracking from alpha0.
+    """Backtracking over cfg.steps(), in order, until a trial passes armijo_ok.
 
     eval_f is charged once per trial (budget accounting happens inside the
     oracle it wraps).  Returns (alpha, x_new, f_new, n_trials), x_new the
-    accepted trial array; exhaustion gives (0.0, x, f_ref, n_trials).  n_trials
-    is max_backtracks unless alpha *= tau underflows to 0.0 first: the search
-    then ends after the trials it has made, forming none at alpha = 0.
+    accepted trial array; exhaustion of the schedule gives
+    (0.0, x, f_ref, n_trials), n_trials the number of steps it held.
 
     With true_f (a problem's stacked f) and block > 1, the trial points are
     formed block at a time as one (block, n) array, true_f gives their true
     values in one call, and eval_f(x_j, phi_j) measures them in order; a
-    block with no accepted row is followed by another of the same size.
+    block with no accepted row is followed by the next block of steps.
     Each trial point and alpha is bitwise the one the plain loop forms.
     """
-    alpha = cfg.alpha0
+    trial = 0
+    steps = cfg.steps()
     if true_f is None or block <= 1:
-        for trial in range(1, cfg.max_backtracks + 1):
+        for trial, alpha in enumerate(steps, 1):
             x_trial = x + alpha * p
             f_trial = eval_f(x_trial)
             if armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
                 return alpha, x_trial, f_trial, trial
-            alpha *= cfg.tau
-            if alpha == 0.0:
-                break
-        return 0.0, x, f_ref, trial
-    trial = 0
-    while trial < cfg.max_backtracks and alpha > 0.0:
-        alphas = []
-        for _ in range(min(block, cfg.max_backtracks - trial)):
-            alphas.append(alpha)
-            alpha *= cfg.tau
-            if alpha == 0.0:
-                break
-        points = x + np.array(alphas)[:, None] * p
-        phis = true_f(points)
-        for alpha_j, x_j, phi_j in zip(alphas, points, phis):
-            trial += 1
-            f_trial = eval_f(x_j, phi_j)
-            if armijo_ok(f_trial, f_ref, alpha_j, gdotp, cfg):
-                return alpha_j, x_j, f_trial, trial
+    else:
+        while alphas := list(islice(steps, block)):
+            points = x + np.array(alphas)[:, None] * p
+            for alpha, x_j, phi_j in zip(alphas, points, true_f(points)):
+                trial += 1
+                f_trial = eval_f(x_j, phi_j)
+                if armijo_ok(f_trial, f_ref, alpha, gdotp, cfg):
+                    return alpha, x_j, f_trial, trial
     return 0.0, x, f_ref, trial

@@ -35,7 +35,10 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Problem:
-    """A smooth objective with start point and known minimum value."""
+    """A smooth objective with start point and known minimum value.
+
+    x0 must be a 1-d array of length n (BadDimensionError otherwise).
+    """
 
     name: str
     n: int
@@ -47,6 +50,11 @@ class Problem:
     strong_convexity: Optional[tuple] = None  # (m, M) when globally strongly convex
     notes: str = ""
     stacked_f: bool = False  # f maps (..., n) to (...), row by row as for one point
+
+    def __post_init__(self):
+        if np.shape(self.x0) != (self.n,):
+            raise BadDimensionError(f"problem {self.name!r}: x0 must be a 1-d array of "
+                                    f"length n = {self.n}, got shape {np.shape(self.x0)}")
 
 
 def _value_on_python_floats(formula):

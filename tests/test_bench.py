@@ -925,6 +925,17 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 2
         assert "SPBFGS_BENCH_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, key", [("--seed", "[experiment] master_seed"),
+                                           ("--replicates", "[experiment] replicates"),
+                                           ("--budget-evals", "[budget] evals"),
+                                           ("--budget-iters", "[budget] iters")])
+    def test_bad_flag_is_named(self, tmp_path, capsys, flag, key):
+        # the config table's parser reports it, as for a variable or a file entry
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nproblems = cube\n")
+        assert cli_main(["run", str(path), flag, "abc"]) == 2
+        assert f"{key} (from {flag}): expected an integer, got 'abc'" in capsys.readouterr().err
+
     def test_run_missing_config_exits_2(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.ini")]) == 2
 

@@ -1,9 +1,12 @@
 """Backtracking line search with the noise-relaxed sufficient decrease test."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spbfgs.errors import EvaluationBudgetError
 from spbfgs.linesearch import LineSearchConfig, armijo_ok, backtrack
@@ -29,6 +32,32 @@ class TestArmijo:
         # eps_armijo = inf is the fixed-step setting, whose threshold is +inf
         for cfg in (LineSearchConfig(), LineSearchConfig(eps_armijo=math.inf)):
             assert not armijo_ok(bad, 10.0, 1.0, -1.0, cfg)
+
+
+class TestSteps:
+    @settings(derandomize=True, deadline=None)
+    @given(st.floats(min_value=5e-324, max_value=1e308),
+           st.floats(min_value=5e-324, max_value=1 - 2**-53),
+           st.integers(min_value=1, max_value=2000))
+    @example(5e-324, 0.5, 1)  # the first product underflows, at the last step allowed
+    @example(1e-322, 0.01, 45)
+    @example(1e308, 1 - 2**-53, 2000)
+    def test_schedule(self, alpha0, tau, max_backtracks):
+        steps = list(LineSearchConfig(alpha0=alpha0, tau=tau,
+                                      max_backtracks=max_backtracks).steps())
+        assert steps[0] == alpha0
+        assert all(step > 0.0 for step in steps)
+        # positive floats compare equal exactly when their bits are equal
+        assert all(after == before * tau for before, after in zip(steps, steps[1:]))
+        assert len(steps) <= max_backtracks
+        # fewer steps only where the next one underflows to 0.0
+        assert len(steps) == max_backtracks or steps[-1] * tau == 0.0
+
+    def test_steps_are_formed_lazily(self):
+        # 10**12 steps could not be held; a search forms only those it tries
+        tau = 1 - 2**-53
+        steps = LineSearchConfig(max_backtracks=10**12, tau=tau).steps()
+        assert list(islice(steps, 3)) == [1.0, tau, tau * tau]
 
 
 class TestBacktrack:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spbfgs.errors import BadDimensionError
-from spbfgs.problems import get_problem, list_problems
+from spbfgs.problems import Problem, get_problem, list_problems
 
 STACKED = ("srosenbr", "genrose", "extrosnb")
 
@@ -63,6 +63,15 @@ def test_start_point_shape_and_finite(name):
     assert np.all(np.isfinite(prob.x0))
     assert np.isfinite(prob.f(prob.x0))
     assert np.all(np.isfinite(prob.grad(prob.x0)))
+
+
+@pytest.mark.parametrize("x0", [np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3)),
+                                np.float64(1.0)],
+                         ids=["short", "long", "column", "row", "scalar"])
+def test_start_point_that_does_not_fit_n_is_rejected(x0):
+    # minimize would otherwise fail inside numpy, at its first product with H
+    with pytest.raises(BadDimensionError, match="x0"):
+        Problem("p", 3, lambda x: float(x @ x), lambda x: 2.0 * x, x0, 0.0)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -34,8 +34,10 @@ from spbfgs.updates import (
     compute_penalty_scalars,
     is_positive_definite,
     spbfgs_curvature_ok,
+    spbfgs_inverse_update,
     spbfgs_update,
 )
+from spbfgs.verify import product_form_bfgs
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -218,3 +220,33 @@ class TestReplayedPairs:
     def test_trace_bound_on_h(self, replayed):
         for h, pair, scalars, out in replayed:
             assert np.trace(out) <= trace_bound_h(h, pair, scalars) * (1.0 + 1e-12)
+
+    def test_beta_inf_is_product_form_bfgs(self, replayed):
+        classic = 0
+        for h, pair, scalars, out in replayed:
+            if math.isinf(scalars.beta):
+                classic += 1
+                ref = product_form_bfgs(h, pair)
+                assert np.max(np.abs(out - ref)) <= 3e-12 * np.max(np.abs(ref))
+        assert classic > 2000
+
+    def test_value_identity(self, replayed):
+        # y.H+y = w s.y + (1 - w) y.Hy, w = beta s.y / (1 + beta s.y) and 1 at beta = +inf,
+        # up to rounding in n eps times the magnitudes summed on both sides: where s.y < 0
+        # the two terms cancel, so a bound relative to them alone does not hold
+        eps = np.finfo(float).eps
+        for h, pair, scalars, out in replayed:
+            bsy = scalars.beta * pair.sty
+            w = 1.0 if math.isinf(scalars.beta) else bsy / (1.0 + bsy)
+            y, abs_y = pair.y, np.abs(pair.y)
+            terms = (w * pair.sty, (1.0 - w) * float(y @ h @ y))
+            scale = float(abs_y @ np.abs(out) @ abs_y + abs_y @ np.abs(h) @ abs_y) \
+                + abs(terms[0]) + abs(terms[1])
+            assert abs(float(y @ out @ y) - sum(terms)) <= 20.0 * pair.n * eps * scale
+
+    def test_inverse_form_consistency(self, replayed):
+        # H+ times the inverse-form update of H^-1 is I, up to rounding scaled by the conditioning
+        for h, pair, scalars, out in replayed:
+            b_out = spbfgs_inverse_update(np.linalg.inv(h), pair, scalars)
+            error = np.max(np.abs(out @ b_out - np.eye(pair.n)))
+            assert error <= 1e-11 * (np.linalg.cond(h) + np.linalg.cond(out))
