@@ -1,10 +1,13 @@
 """Rules for choosing the penalty strength beta at each iteration.
 
-A policy proposes beta from the step just taken, then resolves what to do
-when the relaxed curvature condition s.y > -1/beta fails: either skip the
-update (beta -> 0, a no-op) or shrink beta until the condition holds again.
-Baseline BFGS admission rules live here too so both methods share one
-driver.
+A policy proposes beta from the step just taken, then resolve_beta decides
+whether the pair is admitted.  It is the only code that admits a pair, for
+both methods: classic BFGS is the penalized method at beta = +inf.  A
+proposal of +inf is admitted by the policy's skip rule (the classic
+admission tests) and skipped otherwise.  A finite proposal is admitted when
+the relaxed curvature condition s.y > -1/beta holds; when it fails, the
+recovery rule either skips the update (beta -> 0, a no-op) or shrinks beta
+until the condition holds again.
 """
 
 import math
@@ -27,7 +30,8 @@ class PenaltyPolicy:
     """How beta is proposed, and what to do when curvature fails.
 
     kinds
-        constant-infinity  beta = +inf always (pure BFGS behaviour)
+        constant-infinity  beta = +inf always: classic BFGS, admitted by
+                           skip_rule (minimize_baseline_bfgs runs this kind)
         constant           beta = self.beta
         linear             beta = step_scale * ||s|| + offset
         thresholded        beta = max(step_scale * ||s|| - threshold, 0)
@@ -36,17 +40,24 @@ class PenaltyPolicy:
                            it is constant-infinity.  RunConfig resolves it
                            (see resolve), so propose_beta never sees it.
 
-    recovery on curvature failure
+    recovery on curvature failure of a finite beta
         skip    beta -> 0, no update this iteration
         shrink  beta -> -1 / (shrink_factor * s.y), which restores the
                 condition whenever s.y < 0 (shrink_factor > 1); falls back
                 to skip at s.y = 0
 
-    skip_rule applies only to the baseline BFGS driver, and every rule
-    also demands s.y > 0, the classic update's own precondition
+    skip_rule admits every beta = +inf proposal, whichever method makes
+    it; a pair it refuses is skipped, since shrink's beta would be negative
+    for a refused pair with s.y > 0.  Every rule also demands s.y > 0, the
+    classic update's own precondition
         nonpositive  update iff s.y > 0
         step-norm    update iff s.y >= skip_eps * ||s||^2
         cosine       update iff s.y >= skip_zeta * ||s|| * ||y||
+
+    Every field is checked whatever the kind: beta in [0, +inf]; scale
+    finite and >= 0; step_scale, offset and threshold >= 0, step_scale and
+    threshold finite; shrink_factor > 1; skip_eps finite and >= 0;
+    skip_zeta in [0, 1).  A kind or rule that uses a field may ask more.
     """
 
     kind: str = "linear"
@@ -69,21 +80,27 @@ class PenaltyPolicy:
         if self.skip_rule not in _SKIP_RULES:
             raise ValueError(f"unknown skip rule {self.skip_rule!r}, expected one of {_SKIP_RULES}")
         # every numeric check is written so that NaN fails it
-        if self.kind == "scaled" and not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"scaled policy needs finite scale > 0, got {self.scale}")
-        if self.kind == "constant" and (math.isnan(self.beta) or self.beta < 0.0):
-            raise ValueError(f"constant policy needs beta in [0, +inf], got {self.beta}")
+        if not self.beta >= 0.0:
+            raise ValueError(f"beta must lie in [0, +inf], got {self.beta}")
+        if not (self.scale >= 0.0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+        if self.kind == "scaled" and not self.scale > 0.0:
+            raise ValueError(f"scaled policy needs scale > 0, got {self.scale}")
         if not (self.step_scale >= 0.0 and self.offset >= 0.0 and self.threshold >= 0.0):
             raise ValueError("step_scale, offset and threshold must be nonnegative")
         # beta would be nan: inf * ||s|| at a zero step, inf - inf at a long one
         if not (math.isfinite(self.step_scale) and math.isfinite(self.threshold)):
             raise ValueError("step_scale and threshold must be finite, got "
                              f"{self.step_scale} and {self.threshold}")
-        if self.recovery == "shrink" and not self.shrink_factor > 1.0:
+        if not self.shrink_factor > 1.0:
             raise ValueError(f"shrink_factor must exceed 1, got {self.shrink_factor}")
+        if not (self.skip_eps >= 0.0 and math.isfinite(self.skip_eps)):
+            raise ValueError(f"skip_eps must be finite and >= 0, got {self.skip_eps}")
         if self.skip_rule == "step-norm" and not self.skip_eps > 0.0:
             raise ValueError("step-norm rule needs skip_eps > 0")
-        if self.skip_rule == "cosine" and not 0.0 < self.skip_zeta < 1.0:
+        if not 0.0 <= self.skip_zeta < 1.0:
+            raise ValueError(f"skip_zeta must lie in [0, 1), got {self.skip_zeta}")
+        if self.skip_rule == "cosine" and not self.skip_zeta > 0.0:
             raise ValueError("cosine rule needs skip_zeta in (0, 1)")
 
     def resolve(self, eps_g):
@@ -120,11 +137,17 @@ def propose_beta(policy, s):
 
 
 def resolve_beta(policy, pair, proposed):
-    """Final (beta, action) after the curvature check and recovery rule.
+    """Final (beta, action) for the pair: the only code that admits one.
 
-    The returned beta always satisfies s.y > -1/beta when the action is
-    "update"; a "skip" action carries beta = 0.
+    At proposed = +inf (classic BFGS) policy.skip_rule admits the pair
+    through baseline_update_ok, and a pair it refuses is skipped whatever
+    the recovery.  A finite proposal is admitted when s.y > -1/beta, and
+    otherwise goes to policy.recovery.  The returned beta always satisfies
+    s.y > -1/beta when the action is "update"; a "skip" action carries
+    beta = 0.
     """
+    if proposed == math.inf:
+        return (math.inf, UPDATE) if baseline_update_ok(policy, pair) else (0.0, SKIP)
     if spbfgs_curvature_ok(pair, proposed):
         return proposed, UPDATE
     if policy.recovery == "skip" or pair.sty == 0.0:
@@ -134,7 +157,7 @@ def resolve_beta(policy, pair, proposed):
 
 
 def baseline_update_ok(policy, pair):
-    """Baseline BFGS admission test under policy.skip_rule.
+    """Classic BFGS admission test under policy.skip_rule (resolve_beta's, at +inf).
 
     s.y = 0 is refused under every rule: with a zero step or gradient change
     the step-norm and cosine bounds are 0 too and would admit it, and the

@@ -90,19 +90,25 @@ def test_c06_ill_conditioned_quadratic_demo():
     bl_policy = PenaltyPolicy(kind="constant-infinity", skip_rule="nonpositive")
     dopts = {"spbfgs": [], "bfgs": []}
     fails = {"spbfgs": [], "bfgs": []}
+    # records whose H is not positive definite, of those that carry the test (all but the last)
+    not_pd = {"spbfgs": 0, "bfgs": 0}
+    checked = {"spbfgs": 0, "bfgs": 0}
     for rep in range(30):
         for method, policy, run in (
             ("spbfgs", sp_policy, minimize),
             ("bfgs", bl_policy, minimize_baseline_bfgs),
         ):
             config = RunConfig(policy=policy, linesearch=ls, noise=cell,
-                               budget_iters=100,
+                               budget_iters=100, record_hessian_diagnostics=True,
                                seed=run_seed(0, prob.name, method, cell, rep))
             trace = run(prob, config)
             final = trace.records[-1]
             assert final["k"] == 100
             dopts[method].append(math.log10(float(final["phi"]) - prob.phi_star))
             fails[method].append(trace.n_curvature_failures)
+            has_pd = ~trace.records["pd_ok_none"]
+            checked[method] += int(np.count_nonzero(has_pd))
+            not_pd[method] += int(np.count_nonzero(has_pd & ~trace.records["pd_ok"]))
     sp_mean = float(np.mean(dopts["spbfgs"]))
     bl_mean = float(np.mean(dopts["bfgs"]))
     sp_fail = float(np.mean(fails["spbfgs"]))
@@ -118,7 +124,9 @@ def test_c06_ill_conditioned_quadratic_demo():
            f"mean log10 gap after 100 iterations: penalized {sp_mean:.2f} "
            f"(window -5.03+-1.0), classic {bl_mean:.2f} (window -1.27+-1.0), "
            f"margin {bl_mean - sp_mean:.2f} >= 2.5; mean skips: penalized "
-           f"{sp_fail:.2f} in [0,3], classic {bl_fail:.2f} in [15,40] (30 reps)")
+           f"{sp_fail:.2f} in [0,3], classic {bl_fail:.2f} in [15,40] (30 reps); "
+           f"H not positive definite: penalized {not_pd['spbfgs']}/{checked['spbfgs']}, "
+           f"classic {not_pd['bfgs']}/{checked['bfgs']} records")
 
 
 def test_c07_rosenbrock_noise_grid(tmp_path):

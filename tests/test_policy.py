@@ -68,6 +68,13 @@ class TestResolve:
         beta, action = resolve_beta(pol, pair, math.inf)
         assert (beta, action) == (0.0, SKIP)
 
+    def test_shrink_does_not_apply_at_infinite_beta(self):
+        # the skip rule refuses s.y < 0 at +inf; shrink would give beta =
+        # -1 / (2 * -2) = 0.25, a finite update the classic method never makes
+        pol = PenaltyPolicy(kind="constant-infinity", recovery="shrink")
+        pair = CurvaturePair([1.0], [-2.0])
+        assert resolve_beta(pol, pair, math.inf) == (0.0, SKIP)
+
     def test_beta_zero_never_needs_recovery(self):
         pol = PenaltyPolicy(kind="thresholded", step_scale=1.0, threshold=1e6)
         pair = CurvaturePair([1.0], [-5.0])
@@ -76,32 +83,40 @@ class TestResolve:
 
 
 class TestBaselineRules:
+    # each rule is what resolve_beta applies at a proposal of +inf, so every
+    # case asks both: admitted means (inf, UPDATE), refused (0, SKIP)
+    @staticmethod
+    def admits(pol, pair):
+        ok = baseline_update_ok(pol, pair)
+        assert resolve_beta(pol, pair, math.inf) == ((math.inf, UPDATE) if ok else (0.0, SKIP))
+        return ok
+
     def test_nonpositive(self):
         pol = PenaltyPolicy(skip_rule="nonpositive")
-        assert baseline_update_ok(pol, CurvaturePair([1.0], [2.0]))
-        assert not baseline_update_ok(pol, CurvaturePair([1.0], [0.0]))
-        assert not baseline_update_ok(pol, CurvaturePair([1.0], [-2.0]))
+        assert self.admits(pol, CurvaturePair([1.0], [2.0]))
+        assert not self.admits(pol, CurvaturePair([1.0], [0.0]))
+        assert not self.admits(pol, CurvaturePair([1.0], [-2.0]))
 
     def test_step_norm(self):
         pol = PenaltyPolicy(skip_rule="step-norm", skip_eps=0.5)
         # needs s.y >= eps ||s||^2 = 2
-        assert baseline_update_ok(pol, CurvaturePair([2.0], [1.1]))
-        assert not baseline_update_ok(pol, CurvaturePair([2.0], [0.9]))
+        assert self.admits(pol, CurvaturePair([2.0], [1.1]))
+        assert not self.admits(pol, CurvaturePair([2.0], [0.9]))
 
     def test_cosine(self):
         pol = PenaltyPolicy(skip_rule="cosine", skip_zeta=0.5)
         # needs s.y >= zeta ||s|| ||y||
         ok = CurvaturePair([1.0, 0.0], [1.0, 0.5])
         bad = CurvaturePair([1.0, 0.0], [0.5, 1.0])
-        assert baseline_update_ok(pol, ok)
-        assert not baseline_update_ok(pol, bad)
+        assert self.admits(pol, ok)
+        assert not self.admits(pol, bad)
 
     @pytest.mark.parametrize("pol", [PenaltyPolicy(skip_rule="step-norm", skip_eps=0.5),
                                      PenaltyPolicy(skip_rule="cosine", skip_zeta=0.5)])
     def test_zero_sty_refused_by_every_rule(self, pol):
         # the bounds are 0 too here, yet BFGS is undefined at s.y = 0
-        assert not baseline_update_ok(pol, CurvaturePair([1.0, 0.0], [0.0, 0.0]))
-        assert not baseline_update_ok(pol, CurvaturePair([0.0, 0.0], [1.0, 0.0]))
+        assert not self.admits(pol, CurvaturePair([1.0, 0.0], [0.0, 0.0]))
+        assert not self.admits(pol, CurvaturePair([0.0, 0.0], [1.0, 0.0]))
 
 
 class TestValidation:
@@ -155,3 +170,16 @@ class TestValidation:
     def test_nan_is_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PenaltyPolicy(kind="linear", **kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta", math.nan), ("beta", -3.0),
+        ("scale", math.nan), ("scale", -1.0),
+        ("shrink_factor", math.nan), ("shrink_factor", 0.5),
+        ("skip_eps", -1.0), ("skip_eps", math.nan),
+        ("skip_zeta", math.nan), ("skip_zeta", 2.0),
+    ])
+    def test_every_field_checked_whatever_the_kind(self, field, value):
+        # a linear policy under the defaults (recovery skip, skip_rule
+        # nonpositive) uses none of these fields, yet each is checked
+        with pytest.raises(ValueError, match=field):
+            PenaltyPolicy(kind="linear", **{field: value})
