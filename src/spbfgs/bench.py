@@ -116,6 +116,16 @@ class ProblemRef:
         return get_problem(self.name, self.n)
 
 
+def _reject_repeat(kind, keys):
+    """ValueError naming the first key that repeats: its rows could not be told apart."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"{kind} {key} is listed twice; a summary row is keyed by it, "
+                             "so the repeats could not be told apart")
+        seen.add(key)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     problems: Tuple[ProblemRef, ...]
@@ -154,6 +164,11 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {m!r}, expected subset of {METHODS}")
         if len(self.methods) == 0:
             raise ValueError("experiment needs at least one method")
+        # run_seed and the summary key a run by the problem's name (not its
+        # n) and a cell by the reprs of its two levels, so these must differ
+        _reject_repeat("problem", [repr(problem.name) for problem in instances])
+        _reject_repeat("method", [repr(m) for m in self.methods])
+        _reject_repeat("cell", [f"({cell.eps_f!r}, {cell.eps_g!r})" for cell in self.cells])
         if self.noise_mode not in ("absolute", "relative"):
             raise ValueError(f"noise_mode must be absolute or relative, got {self.noise_mode!r}")
         if self.replicates < 1:

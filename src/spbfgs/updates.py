@@ -32,17 +32,22 @@ and folds its vector terms into one vector u:
 
 One kernel computes it in place, into H, with caller-owned scratch (two
 n x n float arrays and a bool view of the second, made once per run by
-_update_scratch), so a call allocates nothing of size n x n: two outer
-products, one sum and one add into H.  The outer products are single-term
-einsums, which at n = 256 write them in about half the time of a broadcast
-np.multiply and need no ufunc iteration buffers; each entry is one IEEE
-product.  Only spbfgs_update calls it, with the driver's H and scratch
-or, without scratch, on a checked copy of H; bfgs_update is spbfgs_update
-at beta = +inf.  H must be finite and exactly symmetric, and then so is
-the result: entry (i, j) of s u^T + u s^T is s_i u_j + u_i s_j and entry
-(j, i) is s_j u_i + u_j s_i, the same two IEEE products added in the
-other order.  One check, _checked_h_copy, enforces this where H enters
-(the driver's h0, the copying public path), not on every result.
+_update_scratch), so a call allocates nothing of size n x n: one
+two-term einsum "ki,kj->ij" over the rows (s, u) and (u, s) writes
+s u^T + u s^T, and one add puts it into H.  einsum zero-fills its output
+and adds the k = 0 and k = 1 products in turn, so each entry is
+fl(fl(s_i u_j) + fl(u_i s_j)) and a -0 product comes out +0.  A numpy
+build whose einsum loops contract that sum to a fused multiply-add
+rounds it once instead; _einsum_rounds_each_term finds out at import, and
+on such a build the kernel forms the two products as single-term einsums
+and adds them, which gives the same bytes.  Only spbfgs_update calls it,
+with the driver's H and scratch or, without scratch, on a checked copy of
+H; bfgs_update is spbfgs_update at beta = +inf.  H must be finite and
+exactly symmetric, and then so is the result: entry (i, j) of
+s u^T + u s^T is s_i u_j + u_i s_j and entry (j, i) is s_j u_i + u_j s_i,
+the same two IEEE products added in the other order.  One check,
+_checked_h_copy, enforces this where H enters (the driver's h0, the
+copying public path), not on every result.
 
 A direct update of the Hessian approximation B = H^{-1} is provided for
 diagnostics; the driver itself only maintains H.  _cholesky_factor is the
@@ -67,33 +72,63 @@ from .errors import (
 _EPS = float(np.finfo(float).eps)
 
 
+def _einsum_rounds_each_term():
+    """True when this numpy's two-term einsum "ki,kj->ij" rounds each product and then the sum.
+
+    It must give, bitwise, np.outer(s, u) + np.outer(u, s) on two inputs.
+    The pinned pair's (0, 1) entry is 0x1.2f7d4759c92d6p+1 rounded twice;
+    a fused multiply-add, in either k order, gives ...d7p+1 on one side of
+    the diagonal.  The second input, s = sqrt(2..68) and u the same values
+    reversed, has 4,489 entries, 645 of which a fused einsum changes.  Run
+    once at import (~40-65 us); np.random is not touched, so importing the
+    package does not import numpy.random.
+    """
+    pinned_s = np.array([float.fromhex("0x1.6396041cdeaccp+0"),
+                         float.fromhex("0x1.f5c78d11084c8p-1")])
+    pinned_u = np.array([float.fromhex("0x1.0bc23db8e44dap+0"),
+                         float.fromhex("0x1.f0218da8c73dap-1")])
+    roots = np.sqrt(np.arange(2.0, 69.0))
+    for s, u in ((pinned_s, pinned_u), (roots, roots[::-1])):
+        fused = np.einsum("ki,kj->ij", (s, u), (u, s), optimize=False)
+        if not np.array_equal(fused, np.outer(s, u) + np.outer(u, s)):
+            return False
+    return True
+
+
+# whether _penalized_rank_two_update forms s u^T + u s^T in one einsum call
+_TWO_TERM_EINSUM = _einsum_rounds_each_term()
+
+
 def _penalized_rank_two_update(h, s, y, gamma, omega, a, b):
     """Overwrite h with H + s u^T + u s^T, u = (gamma*(1 + omega*y.Hy)/2) s - omega Hy.
 
     That is H - omega*(s(Hy)^T + (Hy)s^T) + gamma*(1 + omega*y.Hy) ss^T.
     a and b are n x n float scratch arrays, distinct from h and from each
-    other; both are clobbered.  For symmetric h the result is exactly
+    other; both may be clobbered.  For symmetric h the result is exactly
     symmetric, with no symmetrizing pass: s_i u_j + u_i s_j and
     s_j u_i + u_j s_i are the same two IEEE products, added in the other order.
 
-    The products s u^T and u s^T are each a single-term einsum "i,j->ij",
-    which rounds every entry as one IEEE product and, unlike a broadcast
-    np.multiply, needs no ufunc iteration buffers.  einsum adds each product
-    to a zeroed output, so a product of -0 comes out +0.  The sum is not
-    fused into one two-term product (einsum "ki,kj->ij", matmul, BLAS syr2):
-    a backend that contracts it to a fused multiply-add rounds
-    s_i u_j + u_i s_j once, which changes the bytes and breaks the exact
-    symmetry above.
+    s u^T + u s^T is one two-term einsum "ki,kj->ij" over the rows (s, u)
+    and (u, s): it zero-fills a, then adds the k = 0 and k = 1 products,
+    each rounded, so every entry is fl(fl(s_i u_j) + fl(u_i s_j)) and a
+    product of -0 comes out +0.  At n = 256 that is ~1.8x faster than two
+    products and a sum.  Where _einsum_rounds_each_term found that einsum
+    rounds the sum once (a fused multiply-add, which would change the bytes
+    and break the exact symmetry above), the products are two single-term
+    einsums "i,j->ij" into a and b, and a += b adds them: the same bytes.
     """
     # ndarray.dot is the BLAS call @ makes, bit for bit, without matmul's ufunc overhead
     hy = h.dot(y)
     yhy = float(y.dot(hy))
     coef = gamma * (1.0 + omega * yhy)
     u = (0.5 * coef) * s - omega * hy
-    # adding a's transposed view instead of b is slower at large n
-    np.einsum("i,j->ij", s, u, out=a)
-    np.einsum("i,j->ij", u, s, out=b)
-    a += b
+    if _TWO_TERM_EINSUM:
+        np.einsum("ki,kj->ij", (s, u), (u, s), out=a, optimize=False)
+    else:
+        # adding a's transposed view instead of b is slower at large n
+        np.einsum("i,j->ij", s, u, out=a)
+        np.einsum("i,j->ij", u, s, out=b)
+        a += b
     h += a
 
 

@@ -832,6 +832,22 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("lines, repeat", [
+        ("problems = srosenbr, srosenbr:4", "problem 'srosenbr'"),
+        ("problems = rosenbrock, rosenbrock", "problem 'rosenbrock'"),
+        ("problems = cube\nmethods = spbfgs, spbfgs", "method 'spbfgs'"),
+        ("problems = cube\n[noise]\ncells = 1e-4, 1e-4; 1e-4, 0.0001", "cell (0.0001, 0.0001)"),
+    ], ids=["problem-by-name", "problem", "method", "cell-by-repr"])
+    def test_run_repeated_entry_exits_2(self, tmp_path, capsys, monkeypatch, lines, repeat):
+        # each wrote summary rows that could not be told apart; srosenbr at
+        # two sizes also drew both runs from one seed stream
+        monkeypatch.setattr("spbfgs.bench.run_one", lambda *args: pytest.fail("a run started"))
+        path = tmp_path / "repeat.ini"
+        path.write_text(f"[experiment]\nout_dir = {tmp_path / 'out'}\n{lines}\n")
+        assert cli_main(["run", str(path)]) == 2
+        assert f"error: {repeat} is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
     def test_run_reports_failure_reasons(self, tmp_path, capsys, monkeypatch):
         def breaking_problem(name, n=None):
             calls = [0]

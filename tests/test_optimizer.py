@@ -490,10 +490,11 @@ class TestRunConfig:
 class TestInPlaceUpdate:
     @pytest.mark.parametrize("run", [minimize, minimize_baseline_bfgs])
     def test_update_allocates_no_matrix(self, run, monkeypatch):
-        # the driver's update writes into H and the run's scratch, the
-        # kernel's einsum products need no ufunc buffers, and the finiteness
-        # check writes its mask into scratch.  A call allocates a few
-        # length-n vectors and nothing of size n x n
+        # the driver's update writes into H and the run's scratch: the
+        # kernel's two-term einsum (or, where einsum would fuse that sum,
+        # its two single-term einsums) needs no ufunc buffers, and the
+        # finiteness check writes its mask into scratch.  A call allocates
+        # a few length-n vectors and nothing of size n x n
         n = 256
         allocated = []
         update = optimizer.spbfgs_update

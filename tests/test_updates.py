@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spbfgs import updates
 from spbfgs.errors import (
     BadDimensionError,
     CurvatureViolationError,
@@ -350,10 +352,52 @@ class TestSpbfgsUpdate:
         assert bfgs_update(h, pair).tobytes() == out.tobytes()
 
 
+# the pinned pair of updates._einsum_rounds_each_term: rounding the (0, 1)
+# entry s_0 u_1 + u_0 s_1 once gives 0x1.2f7d4759c92d7p+1, twice ...d6p+1
+PINNED_S = np.array([float.fromhex("0x1.6396041cdeaccp+0"), float.fromhex("0x1.f5c78d11084c8p-1")])
+PINNED_U = np.array([float.fromhex("0x1.0bc23db8e44dap+0"), float.fromhex("0x1.f0218da8c73dap-1")])
+
+
+@pytest.fixture(params=["active", "fallback"])
+def kernel_path(request, monkeypatch):
+    """The kernel path the import-time probe chose, or the fallback forced."""
+    if request.param == "fallback":
+        monkeypatch.setattr(updates, "_TWO_TERM_EINSUM", False)
+    return request.param
+
+
+def einsum_rounding(rounding):
+    """A stand-in for np.einsum("ki,kj->ij", (s, u), (u, s)) that rounds as told.
+
+    "each-term" rounds both products and then their sum, as this package
+    needs; "fused-k0" rounds u_i s_j + fl(s_i u_j) once and "fused-k1"
+    s_i u_j + fl(u_i s_j), as a fused multiply-add does.  Fraction holds
+    the exact sum, and float() rounds it once.
+    """
+    def einsum(subscripts, left, right, optimize=False):
+        assert subscripts == "ki,kj->ij"
+        left, right = np.asarray(left), np.asarray(right)
+        n = left.shape[1]
+        out = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                p0 = Fraction(float(left[0, i])) * Fraction(float(right[0, j]))
+                p1 = Fraction(float(left[1, i])) * Fraction(float(right[1, j]))
+                if rounding == "each-term":
+                    p0, p1 = Fraction(float(p0)), Fraction(float(p1))
+                elif rounding == "fused-k0":
+                    p0 = Fraction(float(p0))
+                else:
+                    p1 = Fraction(float(p1))
+                out[i, j] = float(p0 + p1)
+        return out
+    return einsum
+
+
 class TestInPlaceKernel:
-    @pytest.mark.parametrize("n", [1, 2, 5, 32, 256])
-    @pytest.mark.parametrize("beta", [1e-300, 1.0, 1e300, math.inf])
-    def test_bitwise_equal_to_reference(self, n, beta):
+    @staticmethod
+    def bitwise_case(n, beta):
+        """Check one update against reference_update on every path; return its bytes."""
         rng = np.random.default_rng(n)
         h = random_spd(rng, n)
         pair = random_pair(rng, n, sign=1)
@@ -367,6 +411,35 @@ class TestInPlaceKernel:
         out = spbfgs_update(h, pair, sc, scratch_pair(n))
         assert out is h
         assert h.tobytes() == expected
+        return expected
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 256])
+    @pytest.mark.parametrize("beta", [1e-300, 1.0, 1e300, math.inf])
+    def test_bitwise_equal_to_reference(self, n, beta):
+        self.bitwise_case(n, beta)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 256])
+    @pytest.mark.parametrize("beta", [1e-300, 1.0, 1e300, math.inf])
+    def test_fallback_gives_the_same_bytes(self, monkeypatch, n, beta):
+        # the two single-term einsums and a += b, forced, against the path
+        # the probe chose
+        active = self.bitwise_case(n, beta)
+        monkeypatch.setattr(updates, "_TWO_TERM_EINSUM", False)
+        assert self.bitwise_case(n, beta) == active
+
+    def test_pinned_pair_is_rounded_twice_and_symmetric(self, kernel_path):
+        # with H = I, y = -u, gamma = 0 and omega = 1 the kernel's u is
+        # 0 * s - (-u) = u exactly, so the result is I + s u^T + u s^T
+        pair = CurvaturePair(PINNED_S, -PINNED_U)
+        out = spbfgs_update(np.eye(2), pair, PenaltyScalars(1.0, 0.0, 1.0), scratch_pair(2))
+        assert out.tobytes() == reference_update(np.eye(2), pair.s, pair.y, 0.0, 1.0).tobytes()
+        assert out[0, 1].hex() == out[1, 0].hex() == "0x1.2f7d4759c92d6p+1"
+
+    @pytest.mark.parametrize("rounding, expected", [
+        ("each-term", True), ("fused-k0", False), ("fused-k1", False)])
+    def test_probe_tells_a_fused_einsum(self, monkeypatch, rounding, expected):
+        monkeypatch.setattr(np, "einsum", einsum_rounding(rounding))
+        assert updates._einsum_rounds_each_term() is expected
 
     @pytest.mark.parametrize("n", [1, 2, 5, 32, 256])
     @pytest.mark.parametrize("beta", [1e-300, 1.0, 1e300, math.inf])
@@ -399,11 +472,22 @@ class TestInPlaceKernel:
 
     @pytest.mark.parametrize("n", [2, 256])
     def test_sign_of_zero(self, n):
+        self.sign_of_zero_case(n)
+
+    @pytest.mark.parametrize("n", [2, 256])
+    def test_sign_of_zero_on_the_fallback(self, monkeypatch, n):
+        active = self.sign_of_zero_case(n)
+        monkeypatch.setattr(updates, "_TWO_TERM_EINSUM", False)
+        assert self.sign_of_zero_case(n) == active
+
+    @staticmethod
+    def sign_of_zero_case(n):
         """Zeros in s and negative entries in u make -0 products.
 
         At (0, 1) and (1, 0) both products s_i u_j and u_i s_j are -0, and
-        H holds -0 there.  einsum writes each product as +0, so the entry is
-        -0 + (+0 + +0) = +0, as in reference_update.  A broadcast np.multiply
+        H holds -0 there.  einsum adds each product to a zero-filled output,
+        on either kernel path, so the sum is +0 and the entry is
+        -0 + +0 = +0, as in reference_update.  A broadcast np.multiply
         keeps both products -0 and the entry -0.  That is the only kind of
         entry the two primitives can differ at: a sum of two products
         differs between them only when both are -0, and adding a -0 or +0
@@ -425,6 +509,7 @@ class TestInPlaceKernel:
         expected = reference_update(h, pair.s, pair.y, sc.gamma, sc.omega)
         assert out.tobytes() == expected.tobytes()
         assert not np.signbit(out[0, 1]) and not np.signbit(out[1, 0])
+        return out.tobytes()
 
     def test_beta_zero_in_place_leaves_h(self):
         h = random_spd(np.random.default_rng(22), 3)
