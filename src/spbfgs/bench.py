@@ -164,6 +164,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {m!r}, expected subset of {METHODS}")
         if len(self.methods) == 0:
             raise ValueError("experiment needs at least one method")
+        if len(self.cells) == 0:
+            raise ValueError("experiment needs at least one noise cell")
         # run_seed and the summary key a run by the problem's name (not its
         # n) and a cell by the reprs of its two levels, so these must differ
         _reject_repeat("problem", [repr(problem.name) for problem in instances])

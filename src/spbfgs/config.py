@@ -56,11 +56,12 @@ def _parse_problems(raw):
         item = item.strip()
         if not item:
             continue
-        name, _, size = item.partition(":")
+        name, colon, size = item.partition(":")
         name = name.strip()
         if name not in list_problems():
             raise ValueError(f"unknown problem {name!r}; known: {', '.join(list_problems())}")
-        refs.append(ProblemRef(name, _parse_int(size.strip()) if size else None))
+        # "name:" gives an empty size, an error, not the default size
+        refs.append(ProblemRef(name, _parse_int(size.strip()) if colon else None))
     if not refs:
         raise ValueError("at least one problem is required")
     return tuple(refs)

@@ -14,11 +14,12 @@ The true f is computed once per point.  After a step, the new iterate is
 the accepted trial point that backtrack returns, not x + alpha p formed
 again (the same bits).  The driver keeps phi, the true value there (the
 oracle's last_phi after the measurement at x0 and after a step), and each
-fresh measurement at the iterate, like the row written when the budget
-runs out, reuses it.  For a problem with a stacked f (Problem.stacked_f),
-the line search computes the true values of its trials in blocks as long
-as the previous search's trial count; see linesearch.backtrack.  Both
-leave every output bitwise as it is with one problem call per measurement.
+fresh measurement at the iterate reuses it, as does the record of an
+iterate that the spent budget left unmeasured.  For a problem with a
+stacked f (Problem.stacked_f), the line search computes the true values
+of its trials in blocks as long as the previous search's trial count; see
+linesearch.backtrack.  Both leave every output bitwise as it is with one
+problem call per measurement.
 
 H is updated in place, with scratch (two n x n arrays and the bool view
 the finiteness check writes) allocated once per run, so an iteration
@@ -31,19 +32,25 @@ through spbfgs_update, BFGS at beta = +inf.
 Termination is budget-only: a fixed number of iterations, or of noisy
 function evaluations (line-search trials included, gradients free).  There
 is no gradient-norm stop; with noisy measurements such a test is
-meaningless near the noise floor.
+meaningless near the noise floor.  The stops before a step are checked in
+one place, at the top of an iteration: budget_iters reached, or the
+evaluation budget spent by the measurement at the new iterate (f_measured
+is then NaN).  A budget spent inside the line search ends the iteration
+without a step.
 
 The trace records, per iterate, a noise-free side channel (true value and
 true gradient norm) that the driver never lets the method itself see.  It
 costs no extra evaluation: the oracle keeps the true value and gradient it
 last computed, and the records (side channel, trace of H) are built only
-when RunConfig.record_iterations is on.  Each iterate's values are kept as
-one tuple of Python objects, converted once, when the run ends, to one
-packed RECORD_DTYPE row (98 B).  A run without records returns the same
-RunTrace counters and best point, with an empty records array.  The whole
-run, oracle calls included, executes under np.errstate(all="ignore"):
-overflow at trial points far from a minimizer is expected and handled,
-not warned about.
+when RunConfig.record_iterations is on.  Each iteration leaves through one
+finally clause, whatever ended it (a step, a stop or a failure), and one
+statement there writes every row: the iterate's values as one tuple of
+Python objects, None where there is none, converted once, when the run
+ends, to one packed RECORD_DTYPE row (98 B).  A run without records
+returns the same RunTrace counters and best point, with an empty records
+array.  The whole run, oracle calls included, executes under
+np.errstate(all="ignore"): overflow at trial points far from a minimizer
+is expected and handled, not warned about.
 """
 
 import math
@@ -119,7 +126,13 @@ RECORD_DTYPE = np.dtype(list(_VALUES) + [(f"{name}_none", np.bool_) for name in 
 
 
 def _record_array(rows):
-    """rows, value tuples in _VALUES order with None for no value, as one RECORD_DTYPE array."""
+    """rows, value tuples in _VALUES order with None for no value, as one RECORD_DTYPE array.
+
+    A row of any other length raises ValueError: a field a short row missed
+    would otherwise read as a recorded 0.
+    """
+    if any(len(row) != len(_VALUES) for row in rows):
+        raise ValueError(f"each record row needs {len(_VALUES)} values, one per _VALUES field")
     records = np.zeros(len(rows), RECORD_DTYPE)
     for (name, _), values in zip(_VALUES, zip(*rows)):
         if name == "action":
@@ -149,33 +162,20 @@ class RunTrace:
     failure: Optional[str] = None
 
 
-def _decide(policy, pair):
-    """(beta, action, curvature_failed) for this pair under the policy."""
-    proposed = propose_beta(policy, pair.s)
-    beta, action = resolve_beta(policy, pair, proposed)
-    curvature_failed = action == SKIP or beta != proposed
-    return beta, action, curvature_failed
-
-
 def _run(problem, config, method):
     oracle = NoisyOracle(problem, config.noise, config.seed, config.budget_evals)
     trace = RunTrace(problem=problem.name, method=method)
-    n = problem.n
     x = np.array(problem.x0, dtype=float, copy=True)
-    h = np.eye(n) if config.h0 is None else _checked_h_copy(config.h0, n, name="h0")
+    h = np.eye(problem.n) if config.h0 is None else _checked_h_copy(config.h0, problem.n, name="h0")
     # the update overwrites h and these, so no iteration allocates an n x n array
-    scratch = _update_scratch(n)
+    scratch = _update_scratch(problem.n)
+    budget_iters = math.inf if config.budget_iters is None else config.budget_iters
     keep_records = config.record_iterations
     rows = []  # one value tuple per iterate, in _VALUES order
     true_f = problem.f if problem.stacked_f else None
     block = 1  # trials the previous line search took: the next one's block size
     failure = None
-
-    def grad_norm():
-        # side channel: the true gradient the oracle computed last, at x; the
-        # norm is np.linalg.norm's sqrt(g.g) for a 1-d float array
-        g_true = oracle.last_grad
-        return math.sqrt(float(g_true.dot(g_true)))
+    spent = False  # the evaluation budget ran out before the oracle measured x
 
     # Trial points far from a minimizer may overflow to inf; the driver and
     # line search treat non-finite values correctly, so don't warn.
@@ -186,12 +186,16 @@ def _run(problem, config, method):
         k = 0
         while True:
             if keep_records:
-                state = (k, f_meas, phi, grad_norm())
+                # side channel: the norm of the true gradient the oracle computed
+                # last, at x, as np.linalg.norm's sqrt(g.g) for a 1-d float array
+                state = (k, f_meas, phi, math.sqrt(float(oracle.last_grad.dot(oracle.last_grad))))
             # the step's values, None until it has them
             alpha = f_acc = n_trials = beta = sty = action = trace_h = pd_ok = None
             curvature_failed = False
             try:
-                if config.budget_iters is not None and k >= config.budget_iters:
+                # the stops before a step: budget_iters reached, or the evaluation
+                # budget spent before the oracle measured x (f_measured NaN)
+                if spent or k >= budget_iters:
                     break
                 # ndarray.dot is the BLAS call @ makes, bit for bit, with less overhead
                 p = -h.dot(g)
@@ -206,12 +210,10 @@ def _run(problem, config, method):
                 # Each new vector is checked once.  x and g are finite, so a pair
                 # s = x_new - x, y = g_new - g that CurvaturePair accepts (finite
                 # entries) means a finite x_new and g_new; a zero step keeps x,
-                # leaving g_new.
-                if not math.isfinite(f_acc):
-                    failure = "non-finite state"
-                    break
+                # leaving g_new.  armijo_ok accepts only a finite trial value, so
+                # only an exhausted search can return a non-finite f_acc.
                 if alpha == 0.0:
-                    if not np.isfinite(g_new).all():
+                    if not (math.isfinite(f_acc) and np.isfinite(g_new).all()):
                         failure = "non-finite state"
                         break
                     # exhausted line search: no step, update skipped without
@@ -225,7 +227,9 @@ def _run(problem, config, method):
                         failure = "non-finite state"
                         break
                     sty = pair.sty
-                    beta, action, curvature_failed = _decide(config.policy, pair)
+                    proposed = propose_beta(config.policy, pair.s)
+                    beta, action = resolve_beta(config.policy, pair, proposed)
+                    curvature_failed = action == SKIP or beta != proposed
                     if curvature_failed:
                         trace.n_curvature_failures += 1
                     if action == UPDATE:
@@ -250,7 +254,6 @@ def _run(problem, config, method):
                 if keep_records:
                     rows.append(state + (oracle.n_f_evals, alpha, f_acc, n_trials, beta, sty,
                                          action, curvature_failed, trace_h, pd_ok))
-            trace.n_iterations = k + 1
             if alpha > 0.0:
                 phi = oracle.last_phi  # the accepted trial's, the oracle's last measurement
             x, g = x_new, g_new
@@ -258,11 +261,9 @@ def _run(problem, config, method):
             try:
                 f_meas = oracle.f(x, phi)
             except EvaluationBudgetError:
-                if keep_records:
-                    # the budget ran out before the oracle measured x
-                    rows.append((k, math.nan, phi, grad_norm(), oracle.n_f_evals,
-                                 None, None, None, None, None, None, False, None, None))
-                break
+                f_meas, spent = math.nan, True
+    # a break leaves k unincremented: k iterations ran
+    trace.n_iterations = k
     if failure is not None:
         trace.failed = True
         trace.failure = f"{failure} at iteration {k}"

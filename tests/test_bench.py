@@ -432,6 +432,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(problems=())
 
+    def test_rejects_empty_cells(self):
+        # no cell would run no run and write a header-only summary
+        with pytest.raises(ValueError, match="at least one noise cell"):
+            ExperimentSpec(problems=(ProblemRef("cube"),), cells=())
+
     def test_rejects_budgetless(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problems=(ProblemRef("cube"),), budget_evals=None)
@@ -664,6 +669,10 @@ class TestConfigFile:
         ("[experiment]\nproblems = cube\n\n[policy]\nkind = linear\nthreshold = -1\n",
          "[policy]"),
         ("[experiment]\nproblems = cube\nreplicates = 0\n", "replicates"),
+        ("[experiment]\nproblems = rosenbrock:\n",
+         "[experiment] problems: expected an integer, got ''"),
+        ("[experiment]\nproblems = cube, srosenbr :\n",
+         "[experiment] problems: expected an integer, got ''"),
     ])
     def test_error_reporting(self, tmp_path, body, needle):
         path = tmp_path / "bad.ini"
@@ -824,7 +833,7 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("problem", ["srosenbr:3", "beale:4"])
+    @pytest.mark.parametrize("problem", ["srosenbr:3", "beale:4", "rosenbrock:"])
     def test_run_bad_problem_size_exits_2(self, tmp_path, capsys, problem):
         path = tmp_path / "bad.ini"
         path.write_text(f"[experiment]\nproblems = {problem}\nout_dir = {tmp_path / 'out'}\n")

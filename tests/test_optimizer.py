@@ -150,6 +150,68 @@ class TestBudgets:
         assert trace.phi_best == quad2().f(quad2().x0)
 
 
+def stop_row(k, f_measured, phi, grad_norm, evals):
+    """Every field of a record written by a stop before a step: no step values."""
+    row = dict(k=k, f_measured=f_measured, phi=phi, grad_norm=grad_norm, evals=evals,
+               action=ACTIONS.index(None), curvature_failed=False)
+    for name in optimizer._OPTIONAL:
+        row[name], row[f"{name}_none"] = 0, True
+    return row
+
+
+def fields_of(record):
+    """A raw RECORD_DTYPE record as {field: Python value}, NaN as the string 'nan'."""
+    values = {name: record[name].item() for name in RECORD_DTYPE.names}
+    return {name: "nan" if v != v else v for name, v in values.items()}
+
+
+class TestStopRows:
+    """The last record of each way a run stops, every field pinned.
+
+    quad2 without noise from x0 = (3, -2): f = 12.5, g = (3, -8).  Its first
+    search rejects alpha = 1 (f(0, 6) = 72) and accepts alpha = 0.5, so x1 =
+    (1.5, 2) with f = 9.125 and g = (1.5, 8), after 1 + 2 measurements.
+    Each value is exact in binary, and so is each norm's square.
+    """
+
+    def run(self, **budget):
+        return minimize(quad2(), RunConfig(record_hessian_diagnostics=True, **budget))
+
+    def test_budget_iters_reached(self):
+        # x1 is measured (evaluation 4, its noiseless value), then the loop stops
+        trace = self.run(budget_iters=1)
+        assert (trace.n_iterations, trace.n_f_evals, len(trace.records)) == (1, 4, 2)
+        assert fields_of(trace.records[-1]) == stop_row(1, 9.125, 9.125, math.sqrt(66.25), 4)
+
+    def test_budget_spent_at_the_iterate(self):
+        # the search spends evaluation 3, so x1 is never measured
+        trace = self.run(budget_evals=3)
+        assert (trace.n_iterations, trace.n_f_evals, len(trace.records)) == (1, 3, 2)
+        assert fields_of(trace.records[-1]) == stop_row(1, "nan", 9.125, math.sqrt(66.25), 3)
+        assert trace.records[0]["evals"] == 3 and trace.records[0]["alpha"] == 0.5
+
+    def test_budget_spent_inside_the_search(self):
+        # evaluation 2 is the rejected alpha = 1; the second trial finds none left
+        trace = self.run(budget_evals=2)
+        assert (trace.n_iterations, trace.n_f_evals, len(trace.records)) == (0, 2, 1)
+        assert fields_of(trace.records[-1]) == stop_row(0, 12.5, 12.5, math.sqrt(73.0), 2)
+
+
+class TestRecordArray:
+    ROW = (0, 1.0, 1.0, 1.0, 1, None, None, None, None, None, None, False, None, None)
+
+    def test_a_row_per_record(self):
+        records = optimizer._record_array([self.ROW, self.ROW])
+        assert len(records) == 2 and records.dtype == RECORD_DTYPE
+        assert len(optimizer._record_array([])) == 0
+
+    @pytest.mark.parametrize("bad", [ROW[:-2], ROW + (None,)], ids=["short", "long"])
+    def test_a_row_of_another_length_is_refused(self, bad):
+        # a field a short row missed would otherwise read as a recorded 0
+        with pytest.raises(ValueError, match="14 values"):
+            optimizer._record_array([self.ROW, bad])
+
+
 class TestStepAccounting:
     def test_zero_step_path(self):
         # an ascent direction with a deceptive slope exhausts the search;
