@@ -21,8 +21,9 @@ Summary CSV schema (fixed):
 
 In relative noise mode the eps_f/eps_g columns carry the configured
 relative factors; the resolved absolute levels scale with |phi(x0)| and
-||grad phi(x0)|| per problem; each run's RunConfig resolves the spec's
-policy and Armijo slack (eps_armijo = None, the default) against them.
+||grad phi(x0)|| per problem.  ExperimentSpec.run_config builds each run's
+RunConfig, which resolves the spec's policy and Armijo slack
+(eps_armijo = None, the default) against them.
 Optional long-format per-iteration traces (one row per iteration per run)
 support convergence and penalty plots.  A traced run keeps the driver's
 records, one packed optimizer.RECORD_DTYPE row (98 B) per iterate;
@@ -66,8 +67,6 @@ TRACE_COLUMNS = TRACE_RUN_COLUMNS + TRACE_RECORD_COLUMNS
 def delta_opt(phi_best, phi_star):
     """log10 of the true optimality gap, floored at -300."""
     gap = phi_best - phi_star
-    if math.isnan(gap):
-        return math.nan
     if gap <= 1e-300:
         return -300.0
     return math.log10(gap)
@@ -179,16 +178,28 @@ class ExperimentSpec:
         RunConfig(budget_evals=self.budget_evals, budget_iters=self.budget_iters)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        # each run resolves its cell and the policy; resolving every pair here
-        # too makes an overflowing noise level or scale / eps_g a config
-        # error before any run, not a failure mid-sweep
+        # building each (problem, cell)'s first run here makes anything a run's
+        # config rejects, such as an overflowing noise level or scale / eps_g,
+        # a config error before any run, not a failure mid-sweep
         for problem in instances:
             for cell in self.cells:
                 try:
-                    self.policy.resolve(resolve_cell(problem, cell, self.noise_mode).eps_g)
+                    self.run_config(problem, self.methods[0], cell, 0)
                 except ValueError as exc:
                     raise ValueError(f"{problem.name}, cell {cell.eps_f!r}, {cell.eps_g!r}: "
                                      f"{exc}") from exc
+
+    def run_config(self, problem, method, cell, rep):
+        """The RunConfig of sweep run (problem, method, cell, rep); problem is a built Problem."""
+        return RunConfig(
+            policy=self.policy,
+            linesearch=self.linesearch,
+            noise=resolve_cell(problem, cell, self.noise_mode),
+            budget_evals=self.budget_evals,
+            budget_iters=self.budget_iters,
+            seed=run_seed(self.master_seed, problem.name, method, cell, rep),
+            record_iterations=self.record_traces,
+        )
 
 
 @dataclass(frozen=True)
@@ -248,19 +259,8 @@ def resolve_cell(problem, cell, noise_mode):
 def run_one(spec, problem_ref, method, cell, rep):
     """Execute a single replicate and reduce it to a RunOutcome."""
     problem = problem_ref.instantiate()
-    config = RunConfig(
-        policy=spec.policy,
-        linesearch=spec.linesearch,
-        noise=resolve_cell(problem, cell, spec.noise_mode),
-        budget_evals=spec.budget_evals,
-        budget_iters=spec.budget_iters,
-        seed=run_seed(spec.master_seed, problem.name, method, cell, rep),
-        record_iterations=spec.record_traces,
-    )
-    if method == "spbfgs":
-        trace = minimize(problem, config)
-    else:
-        trace = minimize_baseline_bfgs(problem, config)
+    config = spec.run_config(problem, method, cell, rep)
+    trace = (minimize if method == "spbfgs" else minimize_baseline_bfgs)(problem, config)
     rows = trace.records if len(trace.records) else ()
     return RunOutcome(
         problem=problem.name,
@@ -273,11 +273,6 @@ def run_one(spec, problem_ref, method, cell, rep):
         failure=trace.failure,
         trace_rows=rows,
     )
-
-
-def _run_job(args):
-    spec, (problem_ref, method, cell, rep) = args
-    return run_one(spec, problem_ref, method, cell, rep)
 
 
 def write_summary_csv(path, rows):
@@ -362,9 +357,9 @@ def run_experiment(spec):
         # spawned, not forked: numpy's BLAS threads already run in this process
         with ProcessPoolExecutor(max_workers=spec.workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            outcomes = list(pool.map(_run_job, [(spec, job) for job in jobs], chunksize=4))
+            outcomes = list(pool.map(run_one, [spec] * len(jobs), *zip(*jobs), chunksize=4))
     else:
-        outcomes = [_run_job((spec, job)) for job in jobs]
+        outcomes = [run_one(spec, *job) for job in jobs]
 
     result = ExperimentResult(n_runs=len(outcomes), failed=[o for o in outcomes if o.failed])
     for i in range(0, len(outcomes), spec.replicates):

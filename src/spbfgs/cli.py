@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from . import __version__
+from . import __version__, bench
 from .config import load_experiment
 from .errors import ConfigError
 from .problems import get_problem, list_problems
@@ -66,11 +66,9 @@ def _cmd_run(args):
     overrides += [(flag, section, key, getattr(args, flag))
                   for flag, (section, key, _) in FLAGS.items()
                   if getattr(args, flag) is not None]
-    from .bench import run_experiment  # deferred: keeps --help snappy
-
     try:
         spec = load_experiment(args.config, overrides)
-        result = run_experiment(spec)
+        result = bench.run_experiment(spec)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

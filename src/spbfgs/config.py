@@ -90,7 +90,7 @@ def _parse_cells(raw):
         parts = [p.strip() for p in item.split(",")]
         if len(parts) != 2:
             raise ValueError(f"expected 'eps_f,eps_g' pairs separated by ';', got {item!r}")
-        cells.append(NoiseSpec(float(parts[0]), float(parts[1])))
+        cells.append(NoiseSpec(_parse_float(parts[0]), _parse_float(parts[1])))
     if not cells:
         raise ValueError("at least one noise cell is required")
     return tuple(cells)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import importlib
+import inspect
 import math
 import os
 import pickle
@@ -42,7 +43,7 @@ from spbfgs.linesearch import LineSearchConfig
 from spbfgs.noise import NoiseSpec
 from spbfgs.optimizer import ACTIONS, RECORD_DTYPE, RunConfig, _record_array
 from spbfgs.policy import PenaltyPolicy, propose_beta
-from spbfgs.problems import Problem
+from spbfgs.problems import Problem, get_problem
 
 
 class TestDeltaOpt:
@@ -308,6 +309,28 @@ class TestRunOne:
         run_one(spec, spec.problems[0], "spbfgs", spec.cells[0], 0)
         assert seen == [expected]
 
+    @pytest.mark.parametrize("method, driver", [("spbfgs", "minimize"),
+                                                ("bfgs", "minimize_baseline_bfgs")])
+    def test_runs_the_spec_run_config(self, tmp_path, monkeypatch, method, driver):
+        seen = []
+        for name in ("minimize", "minimize_baseline_bfgs"):
+            def spy(problem, config, name=name, run=getattr(spbfgs.bench, name)):
+                seen.append((name, config))
+                return run(problem, config)
+
+            monkeypatch.setattr(spbfgs.bench, name, spy)
+        spec = small_spec(tmp_path, noise_mode="relative", budget_iters=40, record_traces=True)
+        cell = spec.cells[1]
+        run_one(spec, ProblemRef("rosenbrock"), method, cell, 2)
+        [(name, config)] = seen
+        assert name == driver
+        expected = spec.run_config(get_problem("rosenbrock"), method, cell, 2)
+        for f in dataclasses.fields(RunConfig):
+            got, want = getattr(config, f.name), getattr(expected, f.name)
+            if f.name == "seed":  # a SeedSequence compares by identity
+                got, want = got.entropy, want.entropy
+            assert got == want, f.name
+
     def test_replicates_differ_under_noise(self, tmp_path):
         spec = small_spec(tmp_path)
         cell = NoiseSpec(1e-6, 1e-4)
@@ -446,6 +469,19 @@ class TestExperimentSpec:
     def test_rejects_bad_problem_before_running(self, ref):
         with pytest.raises(ValueError):
             ExperimentSpec(problems=(ref,))
+
+    def test_run_config_is_the_sweep_run(self, tmp_path):
+        spec = small_spec(tmp_path, noise_mode="relative", budget_iters=40)
+        problem, cell = get_problem("rosenbrock"), spec.cells[1]
+        config = spec.run_config(problem, "bfgs", cell, 2)
+        assert config.noise == resolve_cell(problem, cell, "relative") != cell
+        assert config.policy == spec.policy.resolve(config.noise.eps_g)
+        assert config.linesearch == dataclasses.replace(spec.linesearch,
+                                                        eps_armijo=config.noise.eps_f)
+        assert (config.budget_evals, config.budget_iters) == (300, 40)
+        assert not config.record_iterations and not config.record_hessian_diagnostics
+        assert config.h0 is None
+        assert config.seed.entropy == run_seed(0, "rosenbrock", "bfgs", cell, 2).entropy
 
 
 class TestRunExperiment:
@@ -663,6 +699,8 @@ class TestConfigFile:
         ("[experiment]\nproblems = cube\n\n[linesearch]\nalpha0 = fast\n",
          "[linesearch] alpha0"),
         ("[experiment]\nproblems = cube\n\n[noise]\ncells = 1; 2, 3\n", "[noise] cells"),
+        ("[experiment]\nproblems = cube\n\n[noise]\ncells = a, 0\n",
+         "[noise] cells: expected a number, got 'a'"),
         ("[experiment]\nproblems = cube\nmethods = newton\n", "[experiment] methods"),
         ("[noise]\ncells = 0, 0\n", "problems is required"),
         ("[experiment]\nproblems = cube\n\n[policy]\nkind = bogus\n", "[policy]"),
@@ -994,6 +1032,12 @@ class TestBenchmarkContract:
         assert missing == []
         for name in ("baseline_update_ok", "resolve_beta", "propose_beta"):
             assert getattr(spbfgs.optimizer, name) is getattr(spbfgs.policy, name)
+
+    def test_run_one_takes_the_tracer_arguments(self):
+        # perfbench/tracer.py's new_run passes these positionally, in this order
+        params = inspect.signature(run_one).parameters.values()
+        assert [p.name for p in params] == ["spec", "problem_ref", "method", "cell", "rep"]
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
 
     def test_trace_rows_count_the_lines_written(self, tmp_path):
         spec = small_spec(tmp_path, record_traces=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spbfgs import optimizer
-from spbfgs.bench import ExperimentSpec, ProblemRef, resolve_cell, run_seed
+from spbfgs.bench import ExperimentSpec, ProblemRef
 from spbfgs.errors import BadDimensionError, DegenerateInputError, NonFiniteError
 from spbfgs.linesearch import LineSearchConfig
 from spbfgs.noise import NoiseSpec, sample_ball
@@ -349,11 +349,9 @@ class TestStepAccounting:
             prob = get_problem(name)
             for method, run in (("spbfgs", minimize), ("bfgs", minimize_baseline_bfgs)):
                 eigs.clear()
-                config = RunConfig(policy=spec.policy, linesearch=spec.linesearch,
-                                   noise=resolve_cell(prob, cell, spec.noise_mode),
-                                   budget_evals=spec.budget_evals,
-                                   seed=run_seed(spec.master_seed, name, method, cell, rep),
-                                   record_hessian_diagnostics=True)
+                config = dataclasses.replace(spec.run_config(prob, method, cell, rep),
+                                             record_iterations=True,
+                                             record_hessian_diagnostics=True)
                 trace = run(prob, config)
                 pd_ok = [r["pd_ok"] for r in record_dicts(trace) if r["pd_ok"] is not None]
                 assert len(pd_ok) == len(eigs) == trace.n_iterations > 900

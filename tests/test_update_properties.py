@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spbfgs import optimizer
-from spbfgs.bench import ExperimentSpec, ProblemRef, resolve_cell, run_seed
+from spbfgs.bench import ExperimentSpec, ProblemRef, run_seed
 from spbfgs.diagnostics import trace_bound_h
 from spbfgs.errors import SpbfgsError
 from spbfgs.linesearch import LineSearchConfig
@@ -152,7 +152,8 @@ def test_trace_bound_on_h(problem, e):
 def sweep_configs():
     """(problem, method, RunConfig): c08's cell for rosenbrock and beale, and c06; 2 reps each."""
     cell = NoiseSpec(1e-4, 1e-4)
-    spec = ExperimentSpec(problems=(ProblemRef("beale"),), cells=(cell,), noise_mode="relative")
+    spec = ExperimentSpec(problems=(ProblemRef("rosenbrock"), ProblemRef("beale")),
+                          cells=(cell,), noise_mode="relative")
     c06_cell = NoiseSpec(0.0, 1.0)
     c06_linesearch = LineSearchConfig(eps_armijo=0.0, max_backtracks=75)
     c06_policies = {"spbfgs": PenaltyPolicy(kind="linear", step_scale=1.0, offset=1e-10),
@@ -161,11 +162,7 @@ def sweep_configs():
         for method in ("spbfgs", "bfgs"):
             for name in ("rosenbrock", "beale"):
                 prob = get_problem(name)
-                yield prob, method, RunConfig(
-                    policy=spec.policy, linesearch=spec.linesearch,
-                    noise=resolve_cell(prob, cell, spec.noise_mode),
-                    budget_evals=spec.budget_evals,
-                    seed=run_seed(spec.master_seed, name, method, cell, rep))
+                yield prob, method, spec.run_config(prob, method, cell, rep)
             prob = get_problem("quadratic_ill")
             yield prob, method, RunConfig(
                 policy=c06_policies[method], linesearch=c06_linesearch, noise=c06_cell,
