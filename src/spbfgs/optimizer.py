@@ -38,6 +38,14 @@ evaluation budget spent by the measurement at the new iterate (f_measured
 is then NaN).  A budget spent inside the line search ends the iteration
 without a step.
 
+Only a non-finite new state (the accepted point's value or gradient, or the
+pair they form) or a non-finite update ends a run early, and both are
+recorded in one clause, the iteration's except NonFiniteError, as
+RunTrace.failure ("non-finite state" or "non-finite update" at iteration
+k); RunTrace.failed is read from it.  A negative or tiny s.y is never a
+failure: resolve_beta skips or shrinks, and a pair whose penalty scalars
+overflow is skipped.
+
 The trace records, per iterate, a noise-free side channel (true value and
 true gradient norm) that the driver never lets the method itself see.  It
 costs no extra evaluation: the oracle keeps the true value and gradient it
@@ -158,8 +166,11 @@ class RunTrace:
     n_g_evals: int = 0
     n_curvature_failures: int = 0
     n_zero_steps: int = 0
-    failed: bool = False
-    failure: Optional[str] = None
+    failure: Optional[str] = None  # why the run failed, or None
+
+    @property
+    def failed(self):
+        return self.failure is not None
 
 
 def _run(problem, config, method):
@@ -174,7 +185,6 @@ def _run(problem, config, method):
     rows = []  # one value tuple per iterate, in _VALUES order
     true_f = problem.f if problem.stacked_f else None
     block = 1  # trials the previous line search took: the next one's block size
-    failure = None
     spent = False  # the evaluation budget ran out before the oracle measured x
 
     # Trial points far from a minimizer may overflow to inf; the driver and
@@ -214,18 +224,13 @@ def _run(problem, config, method):
                 # only an exhausted search can return a non-finite f_acc.
                 if alpha == 0.0:
                     if not (math.isfinite(f_acc) and np.isfinite(g_new).all()):
-                        failure = "non-finite state"
-                        break
+                        raise NonFiniteError("non-finite state")
                     # exhausted line search: no step, update skipped without
                     # consulting the policy, iteration still counts
                     sty, action = 0.0, SKIP
                     trace.n_zero_steps += 1
                 else:
-                    try:
-                        pair = CurvaturePair(x_new - x, g_new - g)
-                    except NonFiniteError:
-                        failure = "non-finite state"
-                        break
+                    pair = CurvaturePair(x_new - x, g_new - g)
                     sty = pair.sty
                     proposed = propose_beta(config.policy, pair.s)
                     beta, action = resolve_beta(config.policy, pair, proposed)
@@ -240,15 +245,17 @@ def _run(problem, config, method):
                             # that its reciprocal overflows: no usable update
                             beta, action = 0.0, SKIP
                     if action == UPDATE:
-                        try:
-                            spbfgs_update(h, pair, scalars, scratch)
-                        except NonFiniteError:
-                            failure = "non-finite update"
-                            break
+                        spbfgs_update(h, pair, scalars, scratch)
                 if keep_records:
                     trace_h = float(h.trace())  # the method np.trace calls
                     if config.record_hessian_diagnostics:
                         pd_ok = is_positive_definite(h)
+            except NonFiniteError:
+                # the one failure exit: once action is UPDATE only the update
+                # can raise; before that, a new x_new or g_new was not finite
+                trace.failure = (f"non-finite {'update' if action == UPDATE else 'state'} "
+                                 f"at iteration {k}")
+                break
             finally:
                 # every way out of the iteration writes its row, once
                 if keep_records:
@@ -264,9 +271,6 @@ def _run(problem, config, method):
                 f_meas, spent = math.nan, True
     # a break leaves k unincremented: k iterations ran
     trace.n_iterations = k
-    if failure is not None:
-        trace.failed = True
-        trace.failure = f"{failure} at iteration {k}"
     trace.records = _record_array(rows)
     trace.phi_best = oracle.phi_best
     trace.x_best = oracle.x_best

@@ -42,9 +42,10 @@ class PenaltyPolicy:
 
     recovery on curvature failure of a finite beta
         skip    beta -> 0, no update this iteration
-        shrink  beta -> -1 / (shrink_factor * s.y), which restores the
-                condition whenever s.y < 0 (shrink_factor > 1); falls back
-                to skip at s.y = 0
+        shrink  beta -> -1 / (shrink_factor * s.y) where s.y < 0, which
+                restores the condition in exact arithmetic (shrink_factor
+                > 1); skips when the shrunk beta would not satisfy
+                s.y > -1/beta
 
     skip_rule admits every beta = +inf proposal, whichever method makes
     it; a pair it refuses is skipped, since shrink's beta would be negative
@@ -128,11 +129,14 @@ def propose_beta(policy, s):
         return math.inf
     if policy.kind == "constant":
         return policy.beta
-    norm_s = math.sqrt(float(s.dot(s)))  # np.linalg.norm(s), without its overhead
+    # step_scale * ||s||, with ||s|| as np.linalg.norm(s) without its overhead.
+    # A zero step_scale is the term itself (its product with any finite norm),
+    # so a norm that overflows does not make the term 0 * inf = nan
+    step = policy.step_scale and policy.step_scale * math.sqrt(float(s.dot(s)))
     if policy.kind == "linear":
-        return policy.step_scale * norm_s + policy.offset
+        return step + policy.offset
     if policy.kind == "thresholded":
-        return max(policy.step_scale * norm_s - policy.threshold, 0.0)
+        return max(step - policy.threshold, 0.0)
     raise ValueError("a scaled policy proposes no beta until resolved against a noise level")
 
 
@@ -142,7 +146,10 @@ def resolve_beta(policy, pair, proposed):
     At proposed = +inf (classic BFGS) policy.skip_rule admits the pair
     through baseline_update_ok, and a pair it refuses is skipped whatever
     the recovery.  A finite proposal is admitted when s.y > -1/beta, and
-    otherwise goes to policy.recovery.  The returned beta always satisfies
+    otherwise goes to policy.recovery: shrink, where s.y < 0, admits
+    -1 / (shrink_factor * s.y) only if that beta satisfies s.y > -1/beta in
+    floating point (a shrink_factor next to 1 can round s.y + 1/beta to 0),
+    and skips when it would not.  The returned beta always satisfies
     s.y > -1/beta when the action is "update"; a "skip" action carries
     beta = 0.
     """
@@ -150,10 +157,11 @@ def resolve_beta(policy, pair, proposed):
         return (math.inf, UPDATE) if baseline_update_ok(policy, pair) else (0.0, SKIP)
     if spbfgs_curvature_ok(pair, proposed):
         return proposed, UPDATE
-    if policy.recovery == "skip" or pair.sty == 0.0:
-        return 0.0, SKIP
-    shrunk = -1.0 / (policy.shrink_factor * pair.sty)
-    return shrunk, UPDATE
+    if policy.recovery == "shrink" and pair.sty < 0.0:
+        shrunk = -1.0 / (policy.shrink_factor * pair.sty)
+        if spbfgs_curvature_ok(pair, shrunk):
+            return shrunk, UPDATE
+    return 0.0, SKIP
 
 
 def baseline_update_ok(policy, pair):

@@ -230,16 +230,25 @@ def small_spec(tmp_path, **overrides):
     return ExperimentSpec(**base)
 
 
-def run_cli_spec(monkeypatch, argv, env=None):
-    """The spec that `spbfgs-bench` argv hands to run_experiment, under env."""
+def run_cli_spec(monkeypatch, tmp_path, argv, env=None):
+    """The spec that `spbfgs-bench` argv hands to run_experiment, under env.
+
+    The CLI runs with tmp_path/cwd as its working directory, so a patch that
+    misses, and lets a real sweep run, writes its results there; the test
+    then fails unless exactly one spec reached the patched run_experiment.
+    """
     for name in ("SPBFGS_BENCH_OUT_DIR", "SPBFGS_BENCH_WORKERS"):
         monkeypatch.delenv(name, raising=False)
     for name, value in (env or {}).items():
         monkeypatch.setenv(name, value)
+    (tmp_path / "cwd").mkdir(exist_ok=True)
+    monkeypatch.chdir(tmp_path / "cwd")
     specs = []
     monkeypatch.setattr("spbfgs.bench.run_experiment",
                         lambda spec: specs.append(spec) or spbfgs.bench.ExperimentResult())
     assert cli_main(argv) == 0
+    assert len(specs) == 1, (f"the CLI reached the patched spbfgs.bench.run_experiment "
+                             f"{len(specs)} times, not once")
     return specs[0]
 
 
@@ -259,6 +268,19 @@ class TestRunOne:
         assert len(out.trace_rows) == out.n_iterations + 1
         assert out.trace_rows["k"].tolist() == list(range(out.n_iterations + 1))
         assert out.trace_rows["evals"][-1] <= spec.budget_evals
+
+    def test_shrink_at_the_smallest_factor_finishes(self, tmp_path):
+        # rep 20 of this sweep meets s.y = -4.48e-05, whose shrunk beta
+        # 22303.24 rounds s.y + 1/beta to 0: the run ended the sweep with a
+        # SingularDenominatorError before resolve_beta checked that beta
+        path = tmp_path / "shrink.ini"
+        path.write_text("[experiment]\nproblems = sineval\nmethods = spbfgs\nreplicates = 21\n\n"
+                        "[noise]\nmode = relative\ncells = 1e-4, 1e-2\n\n"
+                        "[policy]\nkind = constant\nbeta = 1e6\nrecovery = shrink\n"
+                        "shrink_factor = 1.0000000000000002\n")
+        spec = load_experiment(path)
+        out = run_one(spec, ProblemRef("sineval"), "spbfgs", NoiseSpec(1e-4, 1e-2), 20)
+        assert not out.failed and out.n_iterations > 0
 
     @pytest.mark.parametrize("record_traces", [False, True])
     def test_records_kept_only_for_traces(self, tmp_path, monkeypatch, record_traces):
@@ -933,17 +955,18 @@ class TestCli:
         keyed = base + (line if section == "experiment" else f"\n[{section}]\n{line}") + "\n"
         (tmp_path / "base.ini").write_text(base)
         (tmp_path / "keyed.ini").write_text(keyed)
-        by_file = run_cli_spec(monkeypatch, ["run", str(tmp_path / "keyed.ini")])
-        by_override = run_cli_spec(monkeypatch, ["run", str(tmp_path / "base.ini"), *argv], env)
+        by_file = run_cli_spec(monkeypatch, tmp_path, ["run", str(tmp_path / "keyed.ini")])
+        base_argv = ["run", str(tmp_path / "base.ini")]
+        by_override = run_cli_spec(monkeypatch, tmp_path, base_argv + argv, env)
         assert by_override == by_file != ExperimentSpec(problems=(ProblemRef("cube"),))
 
     def test_budget_iters_flag_sets_iters_only(self, tmp_path, monkeypatch):
         path = tmp_path / "exp.ini"
         path.write_text("[experiment]\nproblems = cube\n")
-        spec = run_cli_spec(monkeypatch, ["run", str(path), "--budget-iters", "7"])
+        spec = run_cli_spec(monkeypatch, tmp_path, ["run", str(path), "--budget-iters", "7"])
         assert (spec.budget_evals, spec.budget_iters) == (None, 7)
         path.write_text("[experiment]\nproblems = cube\n\n[budget]\nevals = 100\n")
-        spec = run_cli_spec(monkeypatch, ["run", str(path), "--budget-iters", "7"])
+        spec = run_cli_spec(monkeypatch, tmp_path, ["run", str(path), "--budget-iters", "7"])
         assert (spec.budget_evals, spec.budget_iters) == (100, 7)
 
     @pytest.mark.parametrize("budget,argv", [

@@ -289,6 +289,19 @@ class TestStepAccounting:
         assert trace.failure == "non-finite state at iteration 0"
         assert trace.n_zero_steps == 0 and trace.n_iterations == 0
 
+    @pytest.mark.parametrize("kind", ["linear", "thresholded"])
+    def test_zero_step_scale_survives_an_overflowing_step(self, kind):
+        # H = 1e200 I sends x from 0 to -1e200, so ||s|| overflows; with
+        # step_scale = 0 the proposal is the offset, not 0 * inf = nan
+        prob = Problem("arctan", 2, lambda x: float(np.arctan(x).sum()),
+                       lambda x: 1.0 / (1.0 + x * x), np.zeros(2), -math.pi)
+        cfg = RunConfig(policy=PenaltyPolicy(kind=kind, step_scale=0.0, offset=1.0),
+                        linesearch=LineSearchConfig(eps_armijo=math.inf, max_backtracks=1),
+                        h0=1e200 * np.eye(2), budget_iters=5)
+        trace = minimize(prob, cfg)
+        assert not trace.failed and trace.n_iterations == 5
+        assert record_dicts(trace)[0]["beta"] == (1.0 if kind == "linear" else 0.0)
+
     def test_overflow_is_not_warned(self):
         # trial points far out overflow to inf; the run handles that silently
         prob = Problem("steep", 1, lambda x: float(np.exp(x[0] ** 2)),

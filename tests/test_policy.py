@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spbfgs.errors import NonFiniteError
 from spbfgs.policy import (
     SKIP,
     UPDATE,
@@ -13,7 +16,10 @@ from spbfgs.policy import (
     propose_beta,
     resolve_beta,
 )
-from spbfgs.updates import CurvaturePair
+from spbfgs.updates import CurvaturePair, compute_penalty_scalars, spbfgs_curvature_ok
+
+# the smallest shrink_factor validation accepts
+NEXT_AFTER_ONE = math.nextafter(1.0, 2.0)
 
 
 class TestProposal:
@@ -61,6 +67,15 @@ class TestResolve:
         assert beta == -1.0 / (2.0 * pair.sty) == 1.0
         # the shrunk beta must itself satisfy the relaxed condition
         assert pair.sty > -1.0 / beta
+
+    def test_shrink_skips_a_beta_that_fails_its_own_condition(self):
+        # -1 / (shrink_factor * s.y) at the smallest shrink_factor rounds
+        # s.y + 1/beta to 0: a sineval sweep run reached this pair and
+        # compute_penalty_scalars raised SingularDenominatorError
+        pol = PenaltyPolicy(kind="constant", beta=1e6, recovery="shrink",
+                            shrink_factor=NEXT_AFTER_ONE)
+        pair = CurvaturePair([1.0], [-4.483654064247673e-05])
+        assert resolve_beta(pol, pair, 1e6) == (0.0, SKIP)
 
     def test_shrink_falls_back_to_skip_at_zero_sty(self):
         pol = PenaltyPolicy(kind="constant-infinity", recovery="shrink")
@@ -183,3 +198,50 @@ class TestValidation:
         # nonpositive) uses none of these fields, yet each is checked
         with pytest.raises(ValueError, match=field):
             PenaltyPolicy(kind="linear", **{field: value})
+
+
+def _pair(entries):
+    return CurvaturePair([s for s, _ in entries], [y for _, y in entries])
+
+
+# entries whose s.y takes both signs, +-0, +-inf, nan and subnormal sizes, and
+# whose ||s|| can overflow
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e200,
+                                    -1e200, 1.7e308, -1.7e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_PAIRS = st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=3).map(_pair)
+# every field at its validation edges, under each kind, recovery and skip rule
+_POLICIES = st.builds(
+    lambda kind, rule, **fields: PenaltyPolicy(kind=kind, **rule, **fields),
+    kind=st.sampled_from(["constant-infinity", "constant", "linear", "thresholded"]),
+    rule=st.sampled_from([{}, dict(skip_rule="step-norm", skip_eps=1e-3),
+                          dict(skip_rule="cosine", skip_zeta=0.5)]),
+    beta=st.sampled_from([0.0, 5e-324, 1e308, math.inf]),
+    step_scale=st.sampled_from([0.0, 1e300]),
+    offset=st.sampled_from([0.0, 1e-10, math.inf]),
+    threshold=st.sampled_from([0.0, 1.0]),
+    recovery=st.sampled_from(["skip", "shrink"]),
+    shrink_factor=st.sampled_from([NEXT_AFTER_ONE, 2.0]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_POLICIES, _PAIRS)
+@example(PenaltyPolicy(kind="constant", beta=1e6, recovery="shrink", shrink_factor=NEXT_AFTER_ONE),
+         CurvaturePair([1.0], [-4.483654064247673e-05]))
+@example(PenaltyPolicy(kind="linear", step_scale=0.0, offset=1.0),
+         CurvaturePair([-1e200, -1e200], [-1.0, -1.0]))
+@example(PenaltyPolicy(kind="thresholded", step_scale=0.0, offset=1.0),
+         CurvaturePair([-1e200, -1e200], [-1.0, -1.0]))
+def test_admitted_beta_satisfies_its_condition(pol, pair):
+    """An admitted pair's beta satisfies s.y > -1/beta; its scalars overflow at worst."""
+    with np.errstate(all="ignore"):  # as the driver runs: ||s|| may overflow
+        beta, action = resolve_beta(pol, pair, propose_beta(pol, pair.s))
+        if action == SKIP:
+            assert beta == 0.0
+            return
+        assert action == UPDATE and spbfgs_curvature_ok(pair, beta)
+        try:
+            compute_penalty_scalars(pair, beta)
+        except NonFiniteError:
+            pass  # a subnormal denominator: the driver skips the pair
